@@ -4,34 +4,92 @@ set -eu
 
 cargo build --release --workspace
 cargo test -q --workspace
-cargo clippy --workspace --all-targets -- -D warnings
-# No unwrap/expect outside tests, anywhere in the workspace (libs and
-# bins): a surprise on a solve or serving path must become a typed
-# error, not an abort. (--lib/--bins skip #[cfg(test)] modules.)
-cargo clippy --workspace --lib --bins -- \
-    -D warnings -D clippy::unwrap_used -D clippy::expect_used
+# Compiler-enforced invariants (DESIGN.md §13). clippy.toml bans raw
+# `std::thread::spawn` everywhere (use the oftec-parallel scoped
+# executor) and `Instant::now`/`SystemTime::now` outside the crates that
+# carry their own clippy.toml (lint, telemetry, serve, bench). Every
+# exemption is `#[expect(lint, reason = "...")]`: a bare or reason-less
+# `#[allow]` is an error. Dropping a solver `Result` is rustc's
+# `unused_must_use`, denied by `-D warnings`.
+BASE_LINTS="-D warnings -D clippy::allow_attributes -D clippy::allow_attributes_without_reason"
+# No unwrap/expect outside tests in libs, bins and examples: a surprise
+# on a solve or serving path must become a typed error, not an abort.
+# (--lib/--bins/--examples skip #[cfg(test)] modules.)
+NO_ABORT_LINTS="-D clippy::unwrap_used -D clippy::expect_used"
+# Library code only: no exact float compares (exact-zero tests are
+# exempt by design), telemetry instead of printing, typed errors instead
+# of naked panics.
+LIB_LINTS="-D clippy::float_cmp -D clippy::print_stdout -D clippy::print_stderr
+    -D clippy::dbg_macro -D clippy::panic -D clippy::todo -D clippy::unimplemented
+    -D clippy::unreachable"
+# The lint lists are word-split on purpose below.
+# shellcheck disable=SC2086
+cargo clippy --workspace --all-targets -- $BASE_LINTS
+# shellcheck disable=SC2086
+cargo clippy --workspace --bins --examples -- $BASE_LINTS $NO_ABORT_LINTS
+# shellcheck disable=SC2086
+cargo clippy --workspace --lib -- $BASE_LINTS $NO_ABORT_LINTS $LIB_LINTS
 cargo fmt --all --check
+# The compiler gates must actually bite: a scratch crate under the
+# workspace clippy.toml, seeded with one violation per lint, must fail
+# the library run and report every expected lint code.
+clippyscratch=$(mktemp -d)
+mkdir -p "$clippyscratch/src"
+cp clippy.toml "$clippyscratch/"
+printf '[package]\nname = "seeded"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n' \
+    > "$clippyscratch/Cargo.toml"
+cat > "$clippyscratch/src/lib.rs" <<'RS'
+pub fn unwrap(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn expect(x: Option<u32>) -> u32 { x.expect("seeded") }
+pub fn spawn() { let _ = std::thread::spawn(|| {}); }
+pub fn clock() -> std::time::Instant { std::time::Instant::now() }
+pub fn wall() -> std::time::SystemTime { std::time::SystemTime::now() }
+pub fn same(x: f64, y: f64) -> bool { x == y }
+pub fn out() { println!("seeded"); }
+pub fn err() { eprintln!("seeded"); }
+pub fn debug(x: u32) -> u32 { dbg!(x) }
+pub fn boom() { panic!("seeded"); }
+pub fn later() { todo!() }
+pub fn never() { unimplemented!() }
+pub fn gone() { unreachable!() }
+#[allow(clippy::needless_return)]
+pub fn bare() { return; }
+RS
+# shellcheck disable=SC2086
+if cargo clippy --offline --quiet --manifest-path "$clippyscratch/Cargo.toml" --lib \
+    --message-format json -- $BASE_LINTS $NO_ABORT_LINTS $LIB_LINTS \
+    > "$clippyscratch/report.jsonl" 2> /dev/null; then
+    echo "clippy failed to flag the seeded violations"
+    rm -rf "$clippyscratch"
+    exit 1
+fi
+python3 - "$clippyscratch/report.jsonl" <<'PY'
+import json, sys
+fired = set()
+for line in open(sys.argv[1]):
+    msg = json.loads(line)
+    if msg.get("reason") == "compiler-message" and msg["message"].get("code"):
+        fired.add(msg["message"]["code"]["code"])
+expected = {"clippy::" + lint for lint in (
+    "unwrap_used", "expect_used", "disallowed_methods", "float_cmp",
+    "print_stdout", "print_stderr", "dbg_macro", "panic", "todo",
+    "unimplemented", "unreachable", "allow_attributes",
+    "allow_attributes_without_reason")}
+missing = expected - fired
+assert not missing, f"seeded violations not detected: {sorted(missing)}"
+print("clippy seeded smoke ok:", len(expected), "lints fired")
+PY
+rm -rf "$clippyscratch"
 
-# Workspace static analysis (oftec-lint, DESIGN.md §13 + §18): the
-# invariants the compiler cannot see — typed errors on solve paths,
-# scoped-executor-only parallelism, no wall clock in deterministic
-# crates, tolerance-checked float compares, telemetry instead of
-# printing, #[must_use] on solver entry points — plus the semantic layer:
+# Workspace semantic analysis (oftec-lint, DESIGN.md §13 + §18): the
+# invariants that need dataflow across a function or a crate —
 # determinism taint (L008), relaxed-publication atomics (L009),
 # lock-order cycles (L010), blocking-under-lock on serve hot paths
-# (L011), lossy solver casts (L012), hot-path allocations (L013).
-# Hard gate, run in parallel mode: any denied finding or stale baseline
-# entry fails the build; the JSONL report and a SARIF 2.1.0 artifact are
-# both kept.
-./target/release/oftec-lint --format json --deny all --threads 8 \
-    --sarif-out target/oftec-lint-report.sarif > target/oftec-lint-report.jsonl
-# Determinism: a serial, warm-cache rerun must reproduce the parallel
-# cold-cache report byte for byte (DESIGN.md §18 engine contract).
-./target/release/oftec-lint --format json --deny all --threads 1 \
-    > target/oftec-lint-rerun.jsonl
-cmp target/oftec-lint-report.jsonl target/oftec-lint-rerun.jsonl \
-    || { echo "lint report differs across thread counts / cache states"; exit 1; }
-python3 - target/oftec-lint-report.jsonl target/oftec-lint-report.sarif <<'PY'
+# (L011), lossy solver casts (L012), hot-path allocations (L013). Walks
+# the workspace members (crates/*, src/, examples/). Hard gate: any
+# active finding fails the build; the JSONL report is kept.
+./target/release/oftec-lint --format json > target/oftec-lint-report.jsonl
+python3 - target/oftec-lint-report.jsonl <<'PY'
 import json, sys
 records = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 summaries = [r for r in records if r["type"] == "summary"]
@@ -39,26 +97,7 @@ assert len(summaries) == 1, "report must end with exactly one summary record"
 s = summaries[0]
 assert s["files_scanned"] > 0, "lint scanned no files"
 assert s["active"] == 0, f"{s['active']} active findings"
-assert s["stale_baseline"] == 0, "stale baseline entries"
-assert not any(r["type"] == "stale_baseline" for r in records)
-active = [r for r in records if r["type"] == "finding" and r["status"] == "active"]
-assert not active
-# The baseline may only grandfather L004 tolerance work; the panic/print
-# rules ship with an empty baseline.
-for rule in ("L001", "L005", "L006"):
-    assert not any(r["type"] == "finding" and r["rule"] == rule
-                   and r["status"] == "baselined" for r in records), \
-        f"{rule} findings may not be baselined"
-# The SARIF artifact is valid JSON and its result count agrees with the
-# JSONL active-finding count (SARIF carries active findings only).
-sarif = json.load(open(sys.argv[2]))
-assert sarif["version"] == "2.1.0", "SARIF artifact version"
-sarif_results = open(sys.argv[2]).read().count('{"ruleId": "')
-assert sarif_results == len(active), \
-    f"SARIF has {sarif_results} results, JSONL has {len(active)} active findings"
-print("lint gate ok:", s["files_scanned"], "files,",
-      s["suppressed"], "suppressed,", s["baselined"], "baselined,",
-      sarif_results, "SARIF results")
+print("lint gate ok:", s["files_scanned"], "files,", s["suppressed"], "suppressed")
 PY
 # Rule ids and DESIGN.md must agree in both directions: every id the
 # binary knows is documented, and every documented table row is a rule
@@ -72,12 +111,11 @@ grep -hoE '^\| L[0-9]{3} ' DESIGN.md | awk '{print $2}' | sort -u | while read -
     grep -q "^$id\$" target/oftec-lint-rules.txt \
         || { echo "DESIGN.md documents $id but the binary does not know it"; exit 1; }
 done
-# The gate must actually bite: a seeded violation per rule family — the
-# token layer (L001) and every semantic rule (L008–L013) — must all be
-# detected in one scratch workspace, and the run must exit non-zero.
+# The gate must actually bite: a seeded violation per semantic rule
+# (L008–L013) must all be detected in one scratch workspace, and the run
+# must exit non-zero.
 scratch=$(mktemp -d)
 mkdir -p "$scratch/crates/core/src" "$scratch/crates/serve/src" "$scratch/crates/thermal/src"
-printf 'fn f() { x.unwrap(); }\n' > "$scratch/crates/core/src/seeded_l001.rs"
 cat > "$scratch/crates/core/src/seeded_l008.rs" <<'EOF'
 use std::collections::HashMap;
 pub struct Registry { map: HashMap<u32, u32> }
@@ -143,8 +181,7 @@ fn helper(n: usize) -> usize {
     n
 }
 EOF
-if ./target/release/oftec-lint --root "$scratch" --no-cache --format json \
-    --deny all > "$scratch/report.jsonl"; then
+if ./target/release/oftec-lint --root "$scratch" --format json > "$scratch/report.jsonl"; then
     echo "oftec-lint failed to flag the seeded violations"
     rm -rf "$scratch"
     exit 1
@@ -154,7 +191,7 @@ import json, sys
 records = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 fired = {r["rule"] for r in records
          if r["type"] == "finding" and r["status"] == "active"}
-missing = {"L001", "L008", "L009", "L010", "L011", "L012", "L013"} - fired
+missing = {"L008", "L009", "L010", "L011", "L012", "L013"} - fired
 assert not missing, f"seeded violations not detected: {sorted(missing)}"
 print("seeded-violation smoke ok:", len(fired), "rules fired")
 PY

@@ -11,9 +11,7 @@
 use oftec::problems::{CoolingObjective, CoolingProblem};
 use oftec::CoolingSystem;
 use oftec_bench::fmt_opt;
-use oftec_optim::{
-    ActiveSetSqp, GridSearch, InteriorPoint, NelderMead, NlpProblem, SolveOptions, TrustRegion,
-};
+use oftec_optim::{ActiveSetSqp, GridSearch, InteriorPoint, NlpProblem, SolveOptions, TrustRegion};
 use oftec_power::Benchmark;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -41,17 +39,12 @@ fn main() -> ExitCode {
     };
     println!("§5.2 solver comparison on Optimization 1 (feasible-start points)");
     println!(
-        "{:>14} | {:>18} | {:>18} | {:>18} | {:>18} | {:>18}",
-        "benchmark",
-        "SQP  𝒫 W / ms",
-        "interior 𝒫 W / ms",
-        "trust 𝒫 W / ms",
-        "simplex 𝒫 W / ms",
-        "grid 𝒫 W / ms"
+        "{:>14} | {:>18} | {:>18} | {:>18} | {:>18}",
+        "benchmark", "SQP  𝒫 W / ms", "interior 𝒫 W / ms", "trust 𝒫 W / ms", "grid 𝒫 W / ms"
     );
 
-    let mut sums = [0.0f64; 5];
-    let mut times = [0.0f64; 5];
+    let mut sums = [0.0f64; 4];
+    let mut times = [0.0f64; 4];
     let mut counted = 0usize;
 
     for &b in &Benchmark::ALL {
@@ -90,10 +83,6 @@ fn main() -> ExitCode {
                     .solve(&problem, &start, &opts)
                     .ok()
                     .map(|r| r.x),
-                3 => NelderMead::default()
-                    .solve(&problem, &start, &opts)
-                    .ok()
-                    .map(|r| r.x),
                 _ => GridSearch {
                     points_per_dim: 41,
                     ..Default::default()
@@ -111,7 +100,7 @@ fn main() -> ExitCode {
             }
         };
 
-        let outcomes: Vec<Outcome> = (0..5).map(run).collect();
+        let outcomes: Vec<Outcome> = (0..4).map(run).collect();
         print!("{:>14} |", b.name());
         for o in &outcomes {
             print!(" {} /{:>6.0} |", fmt_opt(o.power, 8), o.millis);
@@ -133,12 +122,11 @@ fn main() -> ExitCode {
 
     if counted > 0 {
         let n = counted as f64;
-        println!("\naverages over {counted} benchmarks where all five finished feasible:");
+        println!("\naverages over {counted} benchmarks where all four finished feasible:");
         for (k, name) in [
             "active-set SQP",
             "interior point",
             "trust region",
-            "Nelder-Mead",
             "grid search",
         ]
         .iter()

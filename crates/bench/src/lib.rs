@@ -199,8 +199,11 @@ impl Reporter {
     }
 
     /// Prints the buffered report to stdout in one write.
+    #[expect(
+        clippy::print_stdout,
+        reason = "single buffered write; the Reporter is the figure binaries' stdout surface"
+    )]
     pub fn finish(self) {
-        // oftec-lint: allow(L005, single buffered write; the Reporter is the figure binaries' stdout surface)
         print!("{}", self.out);
     }
 }
@@ -216,6 +219,10 @@ pub fn print_comparison(rows: &[ComparisonRow], title: &str) {
 /// the flag is present, telemetry collection is forced on so the snapshot
 /// written by [`finish_telemetry`] is populated. Binaries call this
 /// *before* reading their positional arguments.
+#[expect(
+    clippy::print_stderr,
+    reason = "argument-parse feedback emitted before telemetry is configured"
+)]
 pub fn telemetry_args() -> (Vec<String>, Option<String>) {
     oftec_telemetry::init_from_env();
     let mut rest = Vec::new();
@@ -225,7 +232,6 @@ pub fn telemetry_args() -> (Vec<String>, Option<String>) {
         if arg == "--telemetry-json" {
             path = it.next();
             if path.is_none() {
-                // oftec-lint: allow(L005, argument-parse feedback emitted before telemetry is configured)
                 eprintln!("--telemetry-json requires a file path; ignoring");
             }
         } else if let Some(p) = arg.strip_prefix("--telemetry-json=") {
@@ -242,6 +248,10 @@ pub fn telemetry_args() -> (Vec<String>, Option<String>) {
 
 /// Writes the registry snapshot collected since [`telemetry_args`] to the
 /// path it returned (no-op when the flag was absent).
+#[expect(
+    clippy::print_stderr,
+    reason = "the telemetry writer itself failed; stderr is the only channel left"
+)]
 pub fn finish_telemetry(path: Option<String>) -> ExitCode {
     let Some(path) = path else {
         return ExitCode::SUCCESS;
@@ -257,7 +267,6 @@ pub fn finish_telemetry(path: Option<String>) -> ExitCode {
     match std::fs::write(&path, oftec_telemetry::snapshot().to_json()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            // oftec-lint: allow(L005, the telemetry writer itself failed; stderr is the only channel left)
             eprintln!("cannot write telemetry snapshot {path}: {e}");
             ExitCode::FAILURE
         }

@@ -201,7 +201,10 @@ impl Oftec {
         model: &M,
         t_max: Temperature,
     ) -> Option<OftecSolution> {
-        // oftec-lint: allow(L003, reported solution runtime; excluded from the bit-identical determinism contract)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reported solution runtime; excluded from the bit-identical determinism contract"
+        )]
         let start = Instant::now();
         let _span = telemetry::span("oftec.opt2");
         let problem = CoolingProblem::new(model, CoolingObjective::MaxTemperature, t_max);
@@ -254,7 +257,10 @@ impl Oftec {
         model: &M,
         t_max: Temperature,
     ) -> Result<OftecOutcome, OftecError> {
-        // oftec-lint: allow(L003, reported solution runtime; excluded from the bit-identical determinism contract)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reported solution runtime; excluded from the bit-identical determinism contract"
+        )]
         let start = Instant::now();
         let _span = telemetry::span("oftec.run");
         let mut thermal_solves = 0;

@@ -103,7 +103,10 @@ impl<'a, M: CoolingModel> FaultyModel<'a, M> {
             FaultKind::Error => Some(Err(ThermalError::Config(format!(
                 "injected error at model call {n}"
             )))),
-            // oftec-lint: allow(L006, the injected panic is the fault this wrapper exists to produce)
+            #[expect(
+                clippy::panic,
+                reason = "the injected panic is the fault this wrapper exists to produce"
+            )]
             FaultKind::Panic => panic!(
                 "injected panic at model call {n} (ω = {:.0} RPM)",
                 op.fan_speed.rpm()
@@ -170,7 +173,10 @@ impl<M: CoolingModel> CoolingModel for FaultyModel<'_, M> {
                 FaultKind::Error => Err(ThermalError::Config(format!(
                     "injected error at model call {n}"
                 ))),
-                // oftec-lint: allow(L006, the injected panic is the fault this wrapper exists to produce)
+                #[expect(
+                    clippy::panic,
+                    reason = "the injected panic is the fault this wrapper exists to produce"
+                )]
                 FaultKind::Panic => panic!("injected panic at model call {n} (transient)"),
             },
         }

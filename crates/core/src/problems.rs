@@ -158,6 +158,10 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
 
     fn evaluate(&self, x: &[f64]) -> Eval {
         let key = self.key(x);
+        #[expect(
+            clippy::float_cmp,
+            reason = "a cache hit is an exactly repeated operating point; nearby points must re-solve"
+        )]
         {
             let state = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some((_, e)) = state

@@ -54,9 +54,12 @@ impl CoolingSystem {
     /// cannot).
     pub fn for_benchmark_with_config(benchmark: Benchmark, package: &PackageConfig) -> Self {
         let floorplan = alpha21264();
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking constructor; the bundled floorplan carries every profiled unit"
+        )]
         let dynamic_power = benchmark
             .max_dynamic_power(&floorplan)
-            // oftec-lint: allow(L006, documented panicking constructor; the bundled floorplan carries every profiled unit)
             .unwrap_or_else(|e| panic!("bundled floorplan has every profiled unit: {e}"));
         let leakage = McpatBudget::alpha21264_22nm().distribute(&floorplan);
         Self::new(
@@ -117,6 +120,10 @@ impl CoolingSystem {
             TecDeviceParams::superlattice_thin_film(),
             excluded_units,
         );
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking constructor; inputs validated by the caller contract"
+        )]
         let tec_model = HybridCoolingModel::new(
             &floorplan,
             &package,
@@ -124,7 +131,6 @@ impl CoolingSystem {
             dynamic_power.clone(),
             &leakage,
         )
-        // oftec-lint: allow(L006, documented panicking constructor; inputs validated by the caller contract)
         .unwrap_or_else(|e| panic!("inputs validated by the caller contract: {e}"));
         let fan_model =
             HybridCoolingModel::fan_only(&floorplan, &package, dynamic_power.clone(), &leakage);
@@ -234,6 +240,10 @@ impl CoolingSystem {
 
     /// Builds the "unfair" plain-paste baseline model on demand (used by
     /// ablation experiments only).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking constructor; mirrors the already-validated models"
+    )]
     pub fn plain_fan_model(&self) -> HybridCoolingModel {
         HybridCoolingModel::new(
             &self.floorplan,
@@ -245,7 +255,6 @@ impl CoolingSystem {
             self.dynamic_power.clone(),
             &self.leakage,
         )
-        // oftec-lint: allow(L006, documented panicking constructor; mirrors the already-validated models)
         .unwrap_or_else(|e| panic!("construction mirrors the validated models: {e}"))
     }
 

@@ -13,8 +13,8 @@ pub enum FlpParseError {
     /// A line did not have exactly five whitespace-separated fields; holds
     /// the 1-based line number.
     MalformedLine(usize),
-    /// A numeric field failed to parse; holds the 1-based line number and
-    /// the offending token.
+    /// A numeric field failed to parse or is not a finite, non-negative
+    /// length; holds the 1-based line number and the offending token.
     BadNumber(usize, String),
     /// The file contained no units.
     NoUnits,
@@ -65,9 +65,14 @@ pub fn parse_flp(name: &str, text: &str) -> Result<Floorplan, FlpParseError> {
         if fields.len() != 5 {
             return Err(FlpParseError::MalformedLine(lineno + 1));
         }
+        // Every field is a length from the die origin: finite and
+        // non-negative (`Rect` asserts it, so an untrusted file must be
+        // rejected here rather than panic there).
         let parse = |tok: &str| -> Result<f64, FlpParseError> {
             tok.parse::<f64>()
-                .map_err(|_| FlpParseError::BadNumber(lineno + 1, tok.to_owned()))
+                .ok()
+                .filter(|v| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| FlpParseError::BadNumber(lineno + 1, tok.to_owned()))
         };
         let w = parse(fields[1])?;
         let h = parse(fields[2])?;
@@ -147,11 +152,19 @@ mod tests {
 
     #[test]
     fn bad_number_reported() {
-        let text = "a 1e-3 oops 0 0\n";
-        assert_eq!(
-            parse_flp("t", text).unwrap_err(),
-            FlpParseError::BadNumber(1, "oops".into())
-        );
+        for (text, tok) in [
+            ("a 1e-3 oops 0 0\n", "oops"),
+            // Parseable but not a length: rejected, not a `Rect` panic.
+            ("u -1 1 0 0\n", "-1"),
+            ("u NaN 1 0 0\n", "NaN"),
+            ("u 1 1 inf 0\n", "inf"),
+        ] {
+            assert_eq!(
+                parse_flp("t", text).unwrap_err(),
+                FlpParseError::BadNumber(1, tok.into()),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

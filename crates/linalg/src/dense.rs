@@ -173,7 +173,6 @@ impl Matrix {
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let aik = self[(i, k)];
-                // oftec-lint: allow(L004, exact zero skips a structurally zero entry in elimination)
                 if aik == 0.0 {
                     continue;
                 }

@@ -68,7 +68,6 @@ pub fn largest_eigenvalue(
         a.matvec_into(&v, &mut av);
         let new_lambda = vector::dot(&v, &av);
         let norm = vector::norm2(&av);
-        // oftec-lint: allow(L004, exact-zero breakdown guard: only a true zero vector divides by zero below)
         if norm == 0.0 {
             return Ok((0.0, k));
         }
@@ -120,7 +119,6 @@ pub fn smallest_eigenvalue(
     for k in 1..=params.max_iter {
         let w = solve_cg(a, &v, Some(&v), &precond, &cg_params)?.x;
         let norm = vector::norm2(&w);
-        // oftec-lint: allow(L004, exact-zero breakdown guard: only a true zero vector divides by zero below)
         if norm == 0.0 {
             return Err(LinalgError::Breakdown("inverse iteration collapsed"));
         }

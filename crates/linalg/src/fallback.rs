@@ -163,7 +163,6 @@ pub fn solve_dense_chain(a: &Matrix, b: &[f64]) -> Result<DenseSolve, LinalgErro
     for i in 0..n {
         for j in 0..n {
             let v = a[(i, j)];
-            // oftec-lint: allow(L004, exact zero prunes structural zeros when densifying to CSR)
             if v != 0.0 {
                 triplets.push(i, j, v);
             }

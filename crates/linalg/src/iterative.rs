@@ -191,7 +191,6 @@ impl CsrF32 {
                 vals.push(v as f32);
                 if c == r {
                     let d = v as f32;
-                    // oftec-lint: allow(L004, exact zero guards the 1/d division; any nonzero diagonal is usable)
                     if d.is_finite() && d != 0.0 {
                         inv_diag[r] = 1.0 / d;
                     }
@@ -255,7 +254,6 @@ fn cg_f32(a: &CsrF32, b: &[f32], rtol: f32, max_iter: usize) -> (Vec<f32>, usize
             z[i] = r[i] * a.inv_diag[i];
         }
         let rz_new: f32 = r.iter().zip(&z).map(|(ri, zi)| ri * zi).sum();
-        // oftec-lint: allow(L004, exact zero guards the beta division; only a true zero breaks the recurrence)
         if rz == 0.0 || !rz_new.is_finite() {
             return (x, iter);
         }
@@ -492,7 +490,6 @@ pub fn solve_bicgstab(
         m.apply(&r, &mut s_hat);
         a.matvec_into(&s_hat, &mut t);
         let tt = vector::dot(&t, &t);
-        // oftec-lint: allow(L004, exact zero guards the division; only a true zero breaks down)
         if tt == 0.0 {
             return Err(LinalgError::Breakdown("t vanished in BiCGSTAB"));
         }

@@ -1,7 +1,8 @@
-// Index-based loops are the clearest notation for the factorization and
-// triangular-solve kernels in this crate; iterator rewrites obscure the
-// textbook algorithms they implement.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "index-based loops are the clearest notation for the factorization and \
+              triangular-solve kernels; iterator rewrites obscure the textbook algorithms"
+)]
 
 //! Dense and sparse linear algebra for the OFTEC thermal/optimization stack.
 //!
@@ -20,7 +21,6 @@
 //! - [`CsrMatrix`] / [`Triplets`] — compressed sparse row storage
 //! - [`solve_cg`] / [`solve_bicgstab`] — preconditioned Krylov solvers
 //! - [`JacobiPreconditioner`] / [`Ilu0Preconditioner`] — preconditioners
-//! - [`gauss_seidel`] / [`sor`] — stationary smoothers
 //!
 //! # Examples
 //!
@@ -44,8 +44,6 @@ mod lu;
 mod precond;
 mod sell;
 mod sparse;
-mod stationary;
-mod tridiag;
 
 pub use cholesky::CholeskyFactor;
 pub use dense::{vector, Matrix};
@@ -59,5 +57,3 @@ pub use precond::{
 };
 pub use sell::SellMatrix;
 pub use sparse::{CsrMatrix, Triplets};
-pub use stationary::{gauss_seidel, sor, StationaryParams, StationarySummary};
-pub use tridiag::Tridiagonal;

@@ -84,7 +84,6 @@ impl LuFactor {
             for i in (k + 1)..n {
                 let factor = lu[(i, k)] / pivot;
                 lu[(i, k)] = factor;
-                // oftec-lint: allow(L004, exact zero skips update work for a structurally zero factor)
                 if factor != 0.0 {
                     for j in (k + 1)..n {
                         let ukj = lu[(k, j)];

@@ -74,7 +74,6 @@ impl JacobiPreconditioner {
     pub fn from_diagonal(diag: &[f64]) -> Result<Self, LinalgError> {
         let mut inv = Vec::with_capacity(diag.len());
         for &d in diag {
-            // oftec-lint: allow(L004, only an exactly zero diagonal is uninvertible)
             if d == 0.0 || !d.is_finite() {
                 return Err(LinalgError::Breakdown("zero or non-finite diagonal"));
             }
@@ -153,7 +152,6 @@ impl Ilu0Preconditioner {
             for kk in row_ptr[i]..diag_pos[i] {
                 let k = col_idx[kk];
                 let pivot = values[diag_pos[k]];
-                // oftec-lint: allow(L004, only an exactly zero pivot is uninvertible)
                 if pivot == 0.0 || !pivot.is_finite() {
                     return Err(LinalgError::Breakdown("zero pivot in ILU(0)"));
                 }

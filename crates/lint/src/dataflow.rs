@@ -7,8 +7,7 @@
 //! nesting. It never fails — unknown expressions evaluate to
 //! [`Val::Unknown`] and simply carry no facts. Summaries are per-function
 //! and depend only on same-file information (imports, same-file struct
-//! fields), which is what makes the per-file incremental cache sound; the
-//! crate phase composes them into call graphs and lock graphs.
+//! fields); the crate phase composes them into call graphs and lock graphs.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,53 +1,29 @@
 //! The `oftec-lint` binary: CI gate and developer tool.
 //!
 //! ```text
-//! oftec-lint [--root DIR] [--format human|json|sarif] [--deny all|L001,L005]
-//!            [--baseline PATH] [--update-baseline] [--list-rules]
-//!            [--threads N] [--no-cache] [--cache PATH] [--sarif-out PATH]
+//! oftec-lint [--root DIR] [--format human|json] [--list-rules]
 //!            [--telemetry-json PATH]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 denied findings or stale baseline entries,
-//! 2 usage or I/O error.
+//! Every rule is denied. Exit codes: 0 clean, 1 active findings, 2 usage
+//! or I/O error.
 
-use oftec_lint::{
-    baseline, cache, render_human, render_jsonl, run, sarif, DenySet, RunConfig, Status, RULES,
-};
+use oftec_lint::{render_human, render_jsonl, run, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
-    deny: DenySet,
-    format: Format,
+    json: bool,
     list_rules: bool,
-    update_baseline: bool,
-    threads: Option<usize>,
-    no_cache: bool,
-    cache: Option<PathBuf>,
-    sarif_out: Option<PathBuf>,
     telemetry_json: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
-        deny: DenySet::All,
-        format: Format::Human,
+        json: false,
         list_rules: false,
-        update_baseline: false,
-        threads: None,
-        no_cache: false,
-        cache: None,
-        sarif_out: None,
         telemetry_json: None,
     };
     let mut it = std::env::args().skip(1);
@@ -55,42 +31,19 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(value("--root")?),
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--deny" => {
-                let v = value("--deny")?;
-                args.deny = if v == "all" {
-                    DenySet::All
-                } else {
-                    DenySet::Rules(v.split(',').map(|s| s.trim().to_string()).collect())
-                };
-            }
             "--format" => {
-                args.format = match value("--format")?.as_str() {
-                    "json" => Format::Json,
-                    "human" => Format::Human,
-                    "sarif" => Format::Sarif,
+                args.json = match value("--format")?.as_str() {
+                    "json" => true,
+                    "human" => false,
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
-            "--threads" => {
-                let v = value("--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads expects a count, got `{v}`"))?;
-                args.threads = Some(n.max(1));
-            }
-            "--no-cache" => args.no_cache = true,
-            "--cache" => args.cache = Some(PathBuf::from(value("--cache")?)),
-            "--sarif-out" => args.sarif_out = Some(PathBuf::from(value("--sarif-out")?)),
             "--list-rules" => args.list_rules = true,
-            "--update-baseline" => args.update_baseline = true,
             "--telemetry-json" => args.telemetry_json = Some(value("--telemetry-json")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: oftec-lint [--root DIR] [--format human|json|sarif] \
-                     [--deny all|L001,...] [--baseline PATH] [--update-baseline] \
-                     [--threads N] [--no-cache] [--cache PATH] [--sarif-out PATH] \
-                     [--list-rules] [--telemetry-json PATH]"
+                    "usage: oftec-lint [--root DIR] [--format human|json] [--list-rules] \
+                     [--telemetry-json PATH]"
                 );
                 std::process::exit(0);
             }
@@ -141,27 +94,7 @@ fn main() -> ExitCode {
     if args.telemetry_json.is_some() {
         oftec_telemetry::set_collecting(true);
     }
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint-baseline.toml"));
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(
-            args.cache
-                .clone()
-                .unwrap_or_else(|| cache::default_path(&args.root)),
-        )
-    };
-    let config = RunConfig {
-        root: args.root.clone(),
-        baseline: baseline_path.clone(),
-        deny: args.deny.clone(),
-        threads: args.threads,
-        cache: cache_path,
-    };
-    let report = match run(&config) {
+    let report = match run(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("oftec-lint: {e}");
@@ -169,41 +102,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.update_baseline {
-        let entries: Vec<baseline::BaselineEntry> = report
-            .findings
-            .iter()
-            .filter(|f| matches!(f.status, Status::Active | Status::Baselined))
-            .map(|f| baseline::BaselineEntry {
-                rule: f.rule.to_string(),
-                file: f.file.clone(),
-                line: f.line,
-                note: f.message.clone(),
-            })
-            .collect();
-        if let Err(e) = std::fs::write(&baseline_path, baseline::render(&entries)) {
-            eprintln!("oftec-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "oftec-lint: wrote {} entries to {}",
-            entries.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.sarif_out {
-        if let Err(e) = std::fs::write(path, sarif::render(&report, &args.deny)) {
-            eprintln!("oftec-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    match args.format {
-        Format::Json => print!("{}", render_jsonl(&report)),
-        Format::Sarif => print!("{}", sarif::render(&report, &args.deny)),
-        Format::Human => print!("{}", render_human(&report, &args.deny)),
+    if args.json {
+        print!("{}", render_jsonl(&report));
+    } else {
+        print!("{}", render_human(&report));
     }
 
     if let Some(path) = &args.telemetry_json {
@@ -214,7 +116,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if report.is_clean(&args.deny) {
+    if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,10 +1,9 @@
 //! Per-file symbol resolution for the semantic rules.
 //!
 //! Scope is deliberately one file: imports (`use` leaves and aliases),
-//! struct field types, and statics declared in the same file. That is the
-//! soundness boundary of the incremental cache — a file's per-file
-//! findings and summaries depend only on its own bytes — and in practice
-//! covers the workspace idiom, where a type's lock/collection fields live
+//! struct field types, and statics declared in the same file, so a
+//! file's per-file findings and summaries depend only on its own bytes.
+//! In practice that covers the workspace idiom, where a type's lock/collection fields live
 //! next to the impl that uses them. Cross-file composition (call graphs,
 //! lock graphs) happens over summaries in the crate phase.
 

@@ -50,12 +50,12 @@ pub struct Rule {
 use CrateScope::{AllExcept, Only};
 use FileKind::{Bench, Bin, Example, Lib};
 
-/// Crates allowed to read the wall clock: everything else is under the
-/// PR 1/2 determinism contract (bit-identical at any `OFTEC_THREADS`).
-const WALL_CLOCK_ALLOWED: &[&str] = &["lint", "telemetry", "serve", "bench"];
-
 /// The rule table. `L000` is the meta-rule for the suppression syntax
-/// itself and is always in scope.
+/// itself and is always in scope. The token-level invariants (no
+/// unwrap/panic/print on library paths, no raw threads or wall clock in
+/// deterministic crates, exact float compares, `#[must_use]` solver
+/// results) are compiler gates — clippy and rustc lints wired in `ci.sh`
+/// and `clippy.toml` — not rules of this tool.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "L000",
@@ -66,86 +66,6 @@ pub const RULES: &[Rule] = &[
         kinds: &[Lib, Bin, Example, Bench],
         crates: AllExcept(&[]),
         counter: "lint.findings.L000",
-    },
-    Rule {
-        id: "L001",
-        title: "`unwrap()`/`expect()` in non-test library or binary code",
-        rationale: "PR 3's fault taxonomy: a surprise on a solve or serving path must \
-                    become a typed `OftecError`, not an abort. Superset of the old \
-                    per-crate clippy gate, covering all workspace crates and bins.",
-        kinds: &[Lib, Bin, Example],
-        crates: AllExcept(&[]),
-        counter: "lint.findings.L001",
-    },
-    Rule {
-        id: "L002",
-        title: "`std::thread::spawn` outside `crates/parallel`",
-        rationale: "All parallelism must go through the scoped executor so panic \
-                    containment and index-ordered telemetry capture hold; a raw \
-                    spawn escapes both and breaks the determinism contract.",
-        kinds: &[Lib, Bin, Example, Bench],
-        crates: AllExcept(&["parallel"]),
-        counter: "lint.findings.L002",
-    },
-    Rule {
-        id: "L003",
-        title: "`Instant::now`/`SystemTime::now` in deterministic solver crates",
-        rationale: "Solver results must be bit-identical at any `OFTEC_THREADS`; \
-                    wall-clock reads on solve paths invite time-dependent behavior. \
-                    Allowlisted in `telemetry` (span times are redactable), `serve` \
-                    (deadlines), and `bench`/`lint` (measurement tools).",
-        kinds: &[Lib, Bin],
-        crates: AllExcept(WALL_CLOCK_ALLOWED),
-        counter: "lint.findings.L003",
-    },
-    Rule {
-        id: "L004",
-        title: "`==`/`!=` on floating-point expressions",
-        rationale: "Exact float equality on numerical-kernel paths is almost always \
-                    a tolerance bug; intentional exact-zero fast paths carry an \
-                    inline allow with the justification.",
-        kinds: &[Lib],
-        crates: Only(&["linalg", "optim", "thermal", "serve", "telemetry", "fleet"]),
-        counter: "lint.findings.L004",
-    },
-    Rule {
-        id: "L005",
-        title: "`println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code",
-        rationale: "Library code reports through `oftec-telemetry` events and \
-                    counters so output is structured, level-gated, and uniform \
-                    across binaries; ad-hoc printing belongs to bins only.",
-        kinds: &[Lib],
-        crates: AllExcept(&[]),
-        counter: "lint.findings.L005",
-    },
-    Rule {
-        id: "L006",
-        title: "naked `panic!`/`unreachable!`/`todo!`/`unimplemented!` in library code",
-        rationale: "PR 3's fault taxonomy: non-test solve paths return typed errors; \
-                    the executor contains worker panics but a library panic is still \
-                    an abort on the serial path. Deliberate invariant guards carry \
-                    an inline allow naming the invariant.",
-        kinds: &[Lib],
-        crates: AllExcept(&[]),
-        counter: "lint.findings.L006",
-    },
-    Rule {
-        id: "L007",
-        title: "missing `#[must_use]` on public `Result`-returning solver entry points",
-        rationale: "Dropping a solver `Result` silently discards a failed solve; \
-                    entry points (`pub fn solve*`/`run`) in the solver crates must \
-                    be annotated so callers cannot ignore the outcome.",
-        kinds: &[Lib],
-        crates: Only(&[
-            "linalg",
-            "optim",
-            "thermal",
-            "core",
-            "serve",
-            "telemetry",
-            "fleet",
-        ]),
-        counter: "lint.findings.L007",
     },
     Rule {
         id: "L008",

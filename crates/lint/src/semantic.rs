@@ -1,17 +1,16 @@
 //! Semantic rules L008–L013 over the AST and dataflow summaries.
 //!
-//! Two phases, mirroring the cache boundary:
+//! Two phases:
 //!
 //! - **Per-file** ([`file_findings`]): rules that depend only on one
 //!   file's AST and symbols — L008 (unordered collections: declarations
 //!   and taint-to-sink iteration) and L012 (narrowing numeric casts on
-//!   solver paths). These findings are cached with the file.
+//!   solver paths).
 //! - **Crate phase** ([`crate_findings`]): rules that compose per-function
 //!   summaries across a crate — L009 (atomic-ordering publication audit),
 //!   L010 (lock-order cycles), L011 (blocking while locked on serve hot
 //!   paths), L013 (allocation under `// oftec-lint: hot` reachability).
-//!   These are cheap and recomputed every run from (possibly cached)
-//!   summaries.
+//!   These compose the per-file summaries.
 //!
 //! See DESIGN.md §18 for each rule's rationale and suppression guidance.
 
@@ -42,8 +41,7 @@ fn rule_applies(id: &str, krate: &str, kind: FileKind) -> bool {
     rules::rule(id).is_some_and(|r| r.applies(krate, kind))
 }
 
-/// Per-file semantic findings (cached alongside the file): L008 and
-/// L012.
+/// Per-file semantic findings: L008 and L012.
 pub fn file_findings(
     rel: &str,
     krate: &str,

@@ -75,7 +75,7 @@ const FRAGMENTS: &[&str] = &[
     "match x { Some(_) => 1, None => 2 }",
     "static N: AtomicU64 = AtomicU64::new(0);",
     "self.flag.store(true, Ordering::Relaxed);",
-    "// oftec-lint: allow(L001, fuzz)",
+    "// oftec-lint: allow(L012, fuzz)",
     "/* block ",
     "*/",
     "\"unterminated",

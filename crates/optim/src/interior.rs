@@ -136,7 +136,6 @@ impl InteriorPoint {
                 let (alpha, f_new, ls) =
                     backtrack(|p| barrier(p, mu), &x, fx, &dir, slope, 1e-4, 50);
                 evals += ls;
-                // oftec-lint: allow(L004, the line search reports exactly 0.0 when no step is taken)
                 if alpha == 0.0 {
                     break;
                 }

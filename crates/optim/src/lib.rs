@@ -50,7 +50,6 @@ mod gridsearch;
 mod interior;
 mod linesearch;
 mod multistart;
-mod neldermead;
 mod numdiff;
 mod problem;
 mod qp;
@@ -62,7 +61,6 @@ pub use gridsearch::GridSearch;
 pub use interior::InteriorPoint;
 pub use linesearch::backtrack;
 pub use multistart::{grid_starts, multistart};
-pub use neldermead::NelderMead;
 pub use numdiff::{central_gradient, forward_gradient};
 pub use problem::{unconstrained, FnProblem, NlpProblem, PENALTY_OBJECTIVE};
 pub use qp::{solve_qp, QpError};

@@ -136,7 +136,10 @@ where
 }
 
 /// An unconstrained `FnProblem` helper (bounds only).
-#[allow(clippy::type_complexity)] // the fn-pointer type IS the signature
+#[expect(
+    clippy::type_complexity,
+    reason = "the fn-pointer type is the signature"
+)]
 pub fn unconstrained<F>(
     lower: Vec<f64>,
     upper: Vec<f64>,

@@ -189,7 +189,6 @@ impl ActiveSetSqp {
                 let mut y = vector::sub(&grad_f, g_prev);
                 for j in 0..m {
                     let w = -last_lambda_weight(&c, j);
-                    // oftec-lint: allow(L004, exact zero means the multiplier is inactive, not small)
                     if w != 0.0 {
                         for k in 0..n {
                             y[k] += w * (jac[(j, k)] - jac_prev[(j, k)]);
@@ -318,7 +317,6 @@ impl ActiveSetSqp {
                 self.max_halvings,
             );
             evals += 2 * ls_evals;
-            // oftec-lint: allow(L004, the line search reports exactly 0.0 when no step is taken)
             if alpha == 0.0 {
                 // No merit progress possible along the QP direction:
                 // declare convergence if the step was already small.

@@ -124,6 +124,10 @@ where
 /// # Panics
 ///
 /// Same contract as [`par_map_indexed`].
+#[expect(
+    clippy::panic,
+    reason = "re-raises a contained worker panic to mirror the serial loop's documented contract"
+)]
 pub fn par_map_indexed_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -143,7 +147,6 @@ where
         // Re-raise with the original message as a `String` payload — the
         // closest reproduction of the serial loop's panic the batch
         // boundary allows.
-        // oftec-lint: allow(L006, re-raises a contained worker panic to mirror the serial loop's documented contract)
         panic!("{}", p.message);
     }
     out

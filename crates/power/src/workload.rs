@@ -407,9 +407,12 @@ impl Benchmark {
     /// # Panics
     ///
     /// Panics if the floorplan lacks a profiled unit or `samples == 0`.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience over try_synthesize_trace"
+    )]
     pub fn synthesize_trace(self, fp: &Floorplan, samples: usize) -> PowerTrace {
         self.try_synthesize_trace(fp, samples)
-            // oftec-lint: allow(L006, documented panicking convenience over try_synthesize_trace)
             .unwrap_or_else(|e| panic!("floorplan must contain every profiled unit: {e}"))
     }
 

@@ -71,12 +71,16 @@ impl SystemRegistry {
         let mut map = self.systems.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry((benchmark, q)).or_insert_with(|| {
             let base = CoolingSystem::for_benchmark_with_config(benchmark, &self.package);
-            // oftec-lint: allow(L004, exact sentinel: 1.0 round-trips the wire untouched, so bit-equality is the identity test)
-            Arc::new(if scale == 1.0 {
+            #[expect(
+                clippy::float_cmp,
+                reason = "exact sentinel: 1.0 round-trips the wire untouched, so bit-equality is the identity test"
+            )]
+            let system = if scale == 1.0 {
                 base
             } else {
                 base.scaled(scale)
-            })
+            };
+            Arc::new(system)
         }))
     }
 }
@@ -632,7 +636,10 @@ pub fn reference_payload(
     t_max_override: Option<Temperature>,
 ) -> Result<String, ErrBody> {
     let base = CoolingSystem::for_benchmark_with_config(spec.benchmark, package);
-    // oftec-lint: allow(L004, exact sentinel: must mirror the registry's bit-equality test so both paths build the same system)
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact sentinel: must mirror the registry's bit-equality test so both paths build the same system"
+    )]
     let system = if spec.scale == 1.0 {
         base
     } else {

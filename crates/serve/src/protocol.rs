@@ -221,7 +221,6 @@ fn opt_bool(map: &[(String, Value)], key: &str) -> Result<bool, ErrBody> {
 fn opt_u64(map: &[(String, Value)], key: &str) -> Result<Option<u64>, ErrBody> {
     match find(map, key) {
         None | Some(Value::Null) => Ok(None),
-        // oftec-lint: allow(L004, fract() == 0.0 is the exact integrality test for a wire-format id)
         Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
             Ok(Some(*n as u64))
         }
@@ -292,7 +291,6 @@ fn solve_common(map: &[(String, Value)], kind: SolveKind) -> Result<SolveSpec, E
 pub fn parse_id(v: &Value) -> Option<u64> {
     let map = v.as_map()?;
     match find(map, "id") {
-        // oftec-lint: allow(L004, fract() == 0.0 is the exact integrality test for a wire-format id)
         Some(Value::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
             Some(*n as u64)
         }

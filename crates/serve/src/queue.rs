@@ -160,7 +160,10 @@ impl JobQueue {
     /// free their slots and are answered `deadline_exceeded`); on a full
     /// queue, a queued job predicted to miss its deadline is evicted in
     /// favor of the live arrival before `Full` is returned.
-    #[allow(clippy::result_large_err)] // the refused Job must come back to the caller
+    #[expect(
+        clippy::result_large_err,
+        reason = "the refused Job must come back to the caller"
+    )]
     pub fn try_push(&self, job: Job) -> Result<(), (PushError, Job)> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.closed {
@@ -362,6 +365,10 @@ mod tests {
     fn pop_blocks_until_work_arrives() {
         let q = Arc::new(JobQueue::new(8, 8, Duration::from_millis(1)));
         let q2 = Arc::clone(&q);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a blocked consumer on a second plain thread"
+        )]
         let t = std::thread::spawn(move || q2.pop_batch().map(|b| b.len()));
         std::thread::sleep(Duration::from_millis(20));
         let (j, _r) = job();

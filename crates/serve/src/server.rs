@@ -1014,10 +1014,13 @@ fn handle_message(shared: &Arc<Shared>, conn: &mut ConnState, msg: Msg) {
             // cannot be resynchronized: answer, flush, close.
             conn.eof = true;
         }
+        #[expect(
+            clippy::panic,
+            reason = "test hook: deliberate panic to exercise worker containment and the gauge drop guard"
+        )]
         Msg::Line(text) => {
             SERVE_WIRE_NDJSON.add(1);
             if shared.panic_token.as_deref() == Some(text.as_str()) {
-                // oftec-lint: allow(L006, test hook: deliberate panic to exercise worker containment and the gauge drop guard)
                 panic!("panic token received on connection {}", conn.conn_id);
             }
             let parsed = protocol::parse_line(&text);

@@ -2,9 +2,10 @@
 //! an ephemeral loopback port, speak the line protocol over TCP, and
 //! pull fields back out of response envelopes.
 
-// Each test binary compiles this module independently and uses a
-// different subset of the helpers.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module independently and uses a different subset of the helpers"
+)]
 
 use oftec_serve::{CacheConfig, ServeConfig, Server, ServerHandle};
 use serde::Value;
@@ -37,6 +38,10 @@ impl TestServer {
         let server = Server::bind(config).expect("bind test server");
         let addr = server.local_addr();
         let handle = server.handle();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the server under test runs beside its test clients"
+        )]
         let thread = std::thread::spawn(move || server.run());
         Self {
             addr,

@@ -115,6 +115,9 @@ fn total_spawn_failure_is_an_error_with_final_snapshot() {
 
 #[test]
 fn worker_pool_bounds_threads_under_connection_burst() {
+    // The shard-thread count below is process-wide: serialize against the
+    // sibling tests that run servers of their own.
+    let _guard = counter_lock();
     let mut config = test_config();
     config.conn_workers = 2;
     let server = TestServer::start(config);

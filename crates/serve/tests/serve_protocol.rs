@@ -248,6 +248,10 @@ fn shutdown_drains_in_flight_requests() {
     // Park a slow request, then request shutdown from another connection
     // while it is still in flight.
     let addr = server.addr;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a concurrent client keeps a request in flight"
+    )]
     let slow = std::thread::spawn(move || {
         let mut conn = Conn::open(addr);
         conn.request(

@@ -8,7 +8,7 @@
 
 use crate::config::{CoolingConfig, PackageConfig};
 use crate::stack::{centered_extent, series_halves, LayerRole, LayerSpec};
-use oftec_floorplan::{Floorplan, GridDims};
+use oftec_floorplan::Floorplan;
 use oftec_linalg::Triplets;
 use oftec_units::{Length, ThermalConductivity, VolumetricHeatCapacity};
 
@@ -110,7 +110,7 @@ impl Network {
     }
 
     /// Total constant ambient conductance (PCB path), in W/K.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn constant_ambient_conductance(&self) -> f64 {
         self.ambient_const.iter().map(|(_, g)| g).sum()
     }
@@ -150,7 +150,6 @@ fn grid_overlaps(a: &LayerGrid, b: &LayerGrid) -> Vec<(usize, usize, f64)> {
 /// Adds lateral conduction edges within one layer.
 fn lateral_edges(layer: &LayerGrid, edges: &mut Vec<(usize, usize, f64)>) {
     let t = layer.spec.thickness.meters();
-    // oftec-lint: allow(L004, zero thickness encodes an interface plane, exactly)
     if t == 0.0 {
         return; // interface planes conduct only vertically
     }
@@ -186,7 +185,6 @@ fn vertical_edges_default(
         let mut g = series_halves(gl, gu);
         if let Some(h) = extra_interface_h {
             let gi = h * area;
-            // oftec-lint: allow(L004, exact zero keeps the series combination well-defined)
             g = if g == 0.0 { 0.0 } else { g * gi / (g + gi) };
         }
         if g > 0.0 {
@@ -341,18 +339,24 @@ pub(crate) fn build_network(
     }
     // The stack is built a few lines above from a fixed recipe, so every
     // lookup below is an internal invariant, not an input error.
+    #[expect(
+        clippy::panic,
+        reason = "the fixed layer recipe built a few lines up always contains this layer"
+    )]
     let find = |role: LayerRole| {
         layers
             .iter()
             .find(|l| l.spec.role == role)
-            // oftec-lint: allow(L006, the fixed layer recipe built a few lines up always contains this layer)
             .unwrap_or_else(|| panic!("layer stack recipe is missing its {role:?} layer"))
     };
+    #[expect(
+        clippy::panic,
+        reason = "the fixed layer recipe built a few lines up always contains this layer"
+    )]
     let by_name = |name: &str| {
         layers
             .iter()
             .find(|l| l.spec.name == name)
-            // oftec-lint: allow(L006, the fixed layer recipe built a few lines up always contains this layer)
             .unwrap_or_else(|| panic!("layer stack recipe is missing the {name:?} layer"))
     };
 
@@ -427,12 +431,6 @@ pub(crate) fn build_network(
         ambient_fan,
         capacitance,
     }
-}
-
-/// Returns the (validated) grid dims shared by the die-aligned layers.
-#[allow(dead_code)]
-pub(crate) fn die_dims(cfg: &PackageConfig) -> GridDims {
-    cfg.die_dims
 }
 
 #[cfg(test)]

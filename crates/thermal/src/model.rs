@@ -306,7 +306,10 @@ impl HybridCoolingModel {
             leakage,
         ) {
             Ok(model) => model,
-            // oftec-lint: allow(L006, documented panicking constructor; the deployment recipe is consistent by construction)
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking constructor; the deployment recipe is consistent by construction"
+            )]
             Err(e) => panic!("consistent inputs: {e}"),
         }
     }
@@ -333,7 +336,10 @@ impl HybridCoolingModel {
             leakage,
         ) {
             Ok(model) => model,
-            // oftec-lint: allow(L006, documented panicking constructor; the fan-only recipe is consistent by construction)
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking constructor; the fan-only recipe is consistent by construction"
+            )]
             Err(e) => panic!("consistent inputs: {e}"),
         }
     }
@@ -450,11 +456,9 @@ impl HybridCoolingModel {
         i_tec: f64,
     ) {
         if let Some(tec) = &self.tec {
-            // oftec-lint: allow(L004, TEC-off operating points carry an exact 0.0 current)
             if i_tec != 0.0 {
                 for cell in 0..self.chip_cells {
                     let alpha = tec.alpha_cell[cell];
-                    // oftec-lint: allow(L004, cells outside the deployment have exactly zero Seebeck share)
                     if alpha == 0.0 {
                         continue;
                     }
@@ -471,11 +475,9 @@ impl HybridCoolingModel {
     /// Joule RHS injection, written through the cached diagonal indices.
     pub(crate) fn fold_tec_in_place(&self, values: &mut [f64], rhs: &mut [f64], i_tec: f64) {
         if let Some(tec) = &self.tec {
-            // oftec-lint: allow(L004, TEC-off operating points carry an exact 0.0 current)
             if i_tec != 0.0 {
                 for cell in 0..self.chip_cells {
                     let alpha = tec.alpha_cell[cell];
-                    // oftec-lint: allow(L004, cells outside the deployment have exactly zero Seebeck share)
                     if alpha == 0.0 {
                         continue;
                     }
@@ -516,7 +518,6 @@ impl HybridCoolingModel {
                 }
             }
             None => {
-                // oftec-lint: allow(L004, a fan-only stack rejects only a truly nonzero TEC current)
                 if i != 0.0 {
                     return Err(ThermalError::InvalidOperatingPoint(
                         "fan-only model cannot drive a TEC current".into(),
@@ -720,7 +721,10 @@ impl HybridCoolingModel {
     /// can weaken diagonal dominance to a zero pivot). The reference path
     /// keeps plain Jacobi: it is the defined pre-skeleton baseline for the
     /// `sweep_scaling` benchmark.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one steady solve threads every per-call input through"
+    )]
     fn finish_steady_solve(
         &self,
         op: OperatingPoint,
@@ -817,11 +821,9 @@ impl HybridCoolingModel {
 
         let i = op.tec_current.amperes();
         let tec_w: f64 = match &self.tec {
-            // oftec-lint: allow(L004, TEC-off operating points carry an exact 0.0 current)
             Some(tec) if i != 0.0 => (0..self.chip_cells)
                 .map(|cell| {
                     let alpha = tec.alpha_cell[cell];
-                    // oftec-lint: allow(L004, cells outside the deployment have exactly zero Seebeck share)
                     if alpha == 0.0 {
                         return 0.0;
                     }

@@ -100,6 +100,10 @@ mod tests {
     #[test]
     fn probe_is_thread_local() {
         note_reduced(9.0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the probe under test is thread-local"
+        )]
         let other = std::thread::spawn(snapshot).join().unwrap_or_default();
         assert_eq!(other.reduced, 0, "fresh thread starts at zero");
     }

@@ -185,7 +185,6 @@ impl ReducedModel {
         let k = self.k;
         let mut m = self.m0.clone();
         m.axpy(fan_g, &self.m_fan);
-        // oftec-lint: allow(L004, TEC-off operating points carry an exact 0.0 current)
         if i_tec != 0.0 {
             m.axpy(i_tec, &self.m_tec);
         }
@@ -397,7 +396,6 @@ impl HybridCoolingModel {
         let (mut tec_abs, mut tec_rej, mut joule) = (Vec::new(), Vec::new(), Vec::new());
         if let Some(tec) = self.tec_folding() {
             for (cell, &alpha) in tec.alpha_cell.iter().enumerate() {
-                // oftec-lint: allow(L004, cells outside the deployment have exactly zero Seebeck share)
                 if alpha == 0.0 {
                     continue;
                 }

@@ -50,10 +50,13 @@ impl AssemblySkeleton {
     /// Builds the skeleton from an assembled network.
     pub fn new(net: &Network, t_amb: f64) -> Self {
         let base = net.conductance_triplets(0.0).to_csr();
+        #[expect(
+            clippy::panic,
+            reason = "CSR assembly always stores the diagonal; absence is a construction bug, not input"
+        )]
         let diag_idx = (0..net.n_nodes)
             .map(|i| {
                 base.entry_index(i, i)
-                    // oftec-lint: allow(L006, CSR assembly always stores the diagonal; absence is a construction bug, not input)
                     .unwrap_or_else(|| panic!("assembly stored no diagonal entry for node {i}"))
             })
             .collect();

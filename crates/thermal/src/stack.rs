@@ -81,7 +81,6 @@ impl LayerSpec {
     /// interface planes, which contribute no series resistance.
     pub fn vertical_half_conductance(&self, area: f64) -> Option<f64> {
         let t = self.thickness.meters();
-        // oftec-lint: allow(L004, zero thickness encodes an interface plane, exactly)
         if t == 0.0 {
             None
         } else {
@@ -118,7 +117,6 @@ pub(crate) fn centered_extent(center: (f64, f64), width: f64, height: f64) -> Re
 pub(crate) fn series_halves(a: Option<f64>, b: Option<f64>) -> f64 {
     match (a, b) {
         (Some(x), Some(y)) => {
-            // oftec-lint: allow(L004, exact zero short-circuits the series combination to avoid 0/0)
             if x == 0.0 || y == 0.0 {
                 0.0
             } else {
@@ -126,7 +124,10 @@ pub(crate) fn series_halves(a: Option<f64>, b: Option<f64>) -> f64 {
             }
         }
         (Some(x), None) | (None, Some(x)) => x,
-        // oftec-lint: allow(L006, documented invariant: adjacent interface planes must declare an edge conductance)
+        #[expect(
+            clippy::panic,
+            reason = "documented invariant: adjacent interface planes must declare an edge conductance"
+        )]
         (None, None) => panic!("two adjacent interface planes need an explicit edge conductance"),
     }
 }
