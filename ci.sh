@@ -3,6 +3,9 @@
 set -eu
 
 cargo build --release --workspace
+# The benchmark of record (BENCHMARK.json) is a standalone package over
+# the serve, fleet and core APIs: an API change that breaks it fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace
 # Compiler-enforced invariants (DESIGN.md §13). clippy.toml bans raw
 # `std::thread::spawn` everywhere (use the oftec-parallel scoped
@@ -220,7 +223,7 @@ burstsnap=$(mktemp)
 burstbench=$(mktemp)
 # On exit, reap any smoke server still running (a failed assert would
 # otherwise orphan it holding our stdout pipe) before removing temp files.
-trap 'for p in "${srv:-}" "${obssrv:-}" "${burstsrv:-}" "${dualsrv:-}"; do
+trap 'for p in "${srv:-}" "${obssrv:-}" "${burstsrv:-}"; do
         if [ -n "$p" ]; then kill "$p" 2> /dev/null || true; fi
     done
     rm -f "$snap" "$portfile" "$servesnap" "$servebench" "$redbench" \
@@ -335,9 +338,9 @@ for line in prom.splitlines():
         exposed[name] = float(value)
 for name, value in js.items():
     prom_name = name.replace(".", "_")
-    # serve.probes and serve.wire.* move between the two scrapes: each
-    # scrape is itself a probe carried on the NDJSON wire.
-    if name in ("serve.probes", "serve.wire.ndjson", "serve.wire.binary"):
+    # serve.probes moves between the two scrapes: each scrape is itself
+    # a probe.
+    if name == "serve.probes":
         continue
     assert exposed.get(prom_name) == value, \
         f"{name}: prometheus says {exposed.get(prom_name)}, json says {value}"
@@ -371,35 +374,31 @@ assert dump and any(not e["ok"] for e in dump), \
 print("flight dump ok:", len(dump), "records")
 PY
 
-# Scale smoke (DESIGN.md §16): open-loop burst traffic at 32 connections
-# over BOTH wire formats. Asserts the sustained/burst report blocks, a
-# bounded shed rate, zero unexplained failures, and exact client/server
-# counter agreement on each wire.
-for wirefmt in ndjson binary; do
-    : > "$burstport"
-    ./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse --prewarm qsort \
-        --port-file "$burstport" --telemetry-json "$burstsnap" 2> /dev/null &
-    burstsrv=$!
-    tries=0
-    while [ ! -s "$burstport" ]; do
-        tries=$((tries + 1))
-        [ "$tries" -le 100 ] || { echo "burst server never published its port"; kill "$burstsrv"; exit 1; }
-        sleep 0.1
-    done
-    ./target/release/oftec-loadgen --addr "127.0.0.1:$(cat "$burstport")" \
-        --connections 32 --requests 25 --open-rps 120 --burst-requests 10 \
-        --burst-mult 3 --wire "$wirefmt" --key-reuse 0.8 --mix mixed --seed 11 \
-        --out "$burstbench" --shutdown > /dev/null
-    wait "$burstsrv"
-    python3 - "$burstsnap" "$burstbench" "$wirefmt" <<'PY'
+# Scale smoke (DESIGN.md §16): open-loop burst traffic at 32 connections.
+# Asserts the sustained/burst report blocks, a bounded shed rate, zero
+# unexplained failures, and exact client/server counter agreement.
+: > "$burstport"
+./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse --prewarm qsort \
+    --port-file "$burstport" --telemetry-json "$burstsnap" 2> /dev/null &
+burstsrv=$!
+tries=0
+while [ ! -s "$burstport" ]; do
+    tries=$((tries + 1))
+    [ "$tries" -le 100 ] || { echo "burst server never published its port"; kill "$burstsrv"; exit 1; }
+    sleep 0.1
+done
+./target/release/oftec-loadgen --addr "127.0.0.1:$(cat "$burstport")" \
+    --connections 32 --requests 25 --open-rps 120 --burst-requests 10 \
+    --burst-mult 3 --key-reuse 0.8 --mix mixed --seed 11 \
+    --out "$burstbench" --shutdown > /dev/null
+wait "$burstsrv"
+python3 - "$burstsnap" "$burstbench" <<'PY'
 import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 bench = json.load(open(sys.argv[2]))
-wirefmt = sys.argv[3]
-assert bench["config"]["wire"] == wirefmt, "report must record the wire format"
 # Every injected request was answered: the open loop ran to completion.
 assert bench["requests"] == 32 * 35, f"lost requests: {bench['requests']}"
-assert bench["failed"] == 0, f"{bench['failed']} unexplained failures on {wirefmt}"
+assert bench["failed"] == 0, f"{bench['failed']} unexplained failures"
 assert bench["failed_connections"] == 0, "connections died mid-run"
 # Sustained and burst phases are reported separately, with tail latency.
 sus, burst = bench["sustained"], bench["burst"]
@@ -407,85 +406,17 @@ assert sus["requests"] == 32 * 25 and burst["requests"] == 32 * 10
 assert sus["achieved_rps"] > 0 and burst["achieved_rps"] > 0
 assert sus["shed_rate"] < 0.2, f"sustained shed rate {sus['shed_rate']}"
 assert bench["latency"]["overall"]["p999_us"] >= bench["latency"]["overall"]["p99_us"]
-# Client and server agree exactly on each wire: no silent drops.
+# Client and server agree exactly: no silent drops.
 assert bench["ok"] == counters["serve.responses_ok"], \
-    f"{wirefmt}: client ok {bench['ok']} != server {counters['serve.responses_ok']}"
+    f"client ok {bench['ok']} != server {counters['serve.responses_ok']}"
 assert counters.get("serve.panics", 0) == 0, "server panicked under burst load"
-wire_counter = counters.get(f"serve.wire.{wirefmt}", 0)
-assert wire_counter >= bench["requests"], \
-    f"serve.wire.{wirefmt} = {wire_counter} missed workload messages"
-print(f"burst smoke ok ({wirefmt}):",
+assert counters.get("serve.requests", 0) >= bench["requests"], \
+    f"serve.requests = {counters.get('serve.requests', 0)} missed workload messages"
+print("burst smoke ok:",
       int(sus["achieved_rps"]), "rps sustained,",
       int(burst["achieved_rps"]), "rps burst,",
       f"shed {sus['shed_rate']:.3f}")
 PY
-done
-
-# Dual-wire identity: the same solve over NDJSON and over a hand-packed
-# binary frame (and interleaved on one connection) must return
-# byte-identical result payloads.
-: > "$burstport"
-./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse \
-    --port-file "$burstport" 2> /dev/null &
-dualsrv=$!
-tries=0
-while [ ! -s "$burstport" ]; do
-    tries=$((tries + 1))
-    [ "$tries" -le 100 ] || { echo "dual-wire server never published its port"; kill "$dualsrv"; exit 1; }
-    sleep 0.1
-done
-python3 - "127.0.0.1:$(cat "$burstport")" <<'PY'
-import json, socket, struct, sys
-host, port = sys.argv[1].rsplit(":", 1)
-sock = socket.create_connection((host, int(port)), timeout=10)
-buf = b""
-def recv_line():
-    global buf
-    while b"\n" not in buf:
-        buf += sock.recv(65536)
-    line, buf = buf.split(b"\n", 1)
-    return line.decode()
-def recv_frame():
-    global buf
-    while len(buf) < 6:
-        buf += sock.recv(65536)
-    assert buf[0] == 0 and buf[1] == 1, "response frame header"
-    n = struct.unpack("<I", buf[2:6])[0]
-    while len(buf) < 6 + n:
-        buf += sock.recv(65536)
-    body, buf = buf[6:6 + n], buf[6 + n:]
-    return body.decode()
-def result_of(envelope):
-    at = envelope.find('"result":')
-    assert at >= 0, envelope
-    return envelope[at + 9:-1]
-
-# NDJSON steady (uncached solve).
-sock.sendall(b'{"cmd":"steady","benchmark":"qsort","rpm":3000,"amps":1.0,"no_cache":true}\n')
-nd = recv_line()
-assert json.loads(nd)["ok"], nd
-# The identical solve as a binary frame: cmd=steady(2), flags=NO_CACHE(1),
-# benchmark index 5 (qsort), reserved 0, id, scale, rpm, amps, points,
-# deadline — interleaved on the SAME connection.
-body = struct.pack("<BBBBQdddHHQ", 2, 1, 5, 0, 0, 1.0, 3000.0, 1.0, 0, 0, 0)
-sock.sendall(bytes([0, 1]) + struct.pack("<I", len(body)) + body)
-bn = recv_frame()
-assert json.loads(bn)["ok"], bn
-assert result_of(nd) == result_of(bn), \
-    "NDJSON and binary results differ for the same solve"
-# And the cached replay across wires is byte-identical too.
-sock.sendall(b'{"cmd":"steady","benchmark":"qsort","rpm":3000,"amps":1.0}\n')
-nd2 = recv_line()
-body = struct.pack("<BBBBQdddHHQ", 2, 0, 5, 0, 0, 1.0, 3000.0, 1.0, 0, 0, 0)
-sock.sendall(bytes([0, 1]) + struct.pack("<I", len(body)) + body)
-bn2 = recv_frame()
-assert json.loads(bn2)["cached"], bn2
-assert result_of(nd2) == result_of(bn2)
-sock.sendall(b'{"cmd":"shutdown"}\n')
-recv_line()
-print("dual-wire identity ok: results byte-identical across formats")
-PY
-wait "$dualsrv"
 
 # Reduced-order solve smoke (DESIGN.md §14): build the POD basis on the
 # coarse DAC'14 package, sweep an operating-point grid, and assert the

@@ -8,7 +8,7 @@
 //!
 //! Exit codes: `0` clean, `3` out-of-tolerance discrepancies found
 //! (`run`), `2` a reproducer no longer reproduces (`repro`), `1` usage or
-//! runtime error.
+//! runtime error (including a reproducer whose spec does not build).
 
 use oftec_fleet::diff::{FaultKindSpec, FaultPlan, FaultTarget};
 use oftec_fleet::minimize::ReproCase;
@@ -182,7 +182,13 @@ fn cmd_repro(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let failures = case.replay();
+    let failures = match case.replay() {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
+            return 1;
+        }
+    };
     match serde_json::to_string(&failures) {
         Ok(json) => println!("{json}"),
         Err(e) => {

@@ -12,6 +12,7 @@
 use crate::diff::{cross_check, Discrepancy, FaultPlan};
 use crate::scenario::{ScenarioSpec, MIN_POWER_SCALE, MIN_THERMAL_CELLS, MIN_TILES};
 use crate::tolerance::TolerancePolicy;
+use crate::FleetError;
 use serde::{Deserialize, Serialize};
 
 /// Total power (W) below which the minimizer stops halving.
@@ -41,8 +42,13 @@ pub struct ReproCase {
 impl ReproCase {
     /// Replays the case: rebuilds the spec and re-runs the cross-check.
     /// Returns the discrepancies found now (empty = no longer reproduces).
-    pub fn replay(&self) -> Vec<Discrepancy> {
-        check(&self.spec, self.fault.as_ref(), &self.policy)
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Scenario`] when the spec does not build.
+    pub fn replay(&self) -> Result<Vec<Discrepancy>, FleetError> {
+        let system = self.spec.build()?;
+        Ok(cross_check(&system, &self.policy, self.fault.as_ref()).failures)
     }
 }
 
@@ -184,7 +190,10 @@ mod tests {
             "minimization must be deterministic"
         );
         // The minimized case replays: the discrepancy is self-contained.
-        assert!(!a.replay().is_empty(), "reproducer must still reproduce");
+        assert!(
+            !a.replay().unwrap().is_empty(),
+            "reproducer must still reproduce"
+        );
         // Shrinking never grows the spec.
         assert!(a.spec.thermal_cells <= spec.thermal_cells);
         assert!(a.spec.total_power_w <= spec.total_power_w);

@@ -104,6 +104,12 @@ pub const MIN_THERMAL_CELLS: u32 = 4;
 pub const MIN_TILES: u32 = 2;
 /// Minimum power multiplier after shrinking.
 pub const MIN_POWER_SCALE: f64 = 0.2;
+/// Ceilings on hand-edited specs, far above anything the generator draws
+/// (the minimizer only shrinks), so a repro file cannot demand a
+/// runaway allocation.
+pub const MAX_THERMAL_CELLS: u32 = 64;
+/// Maximum synthetic grid side.
+pub const MAX_TILES: u32 = 32;
 
 impl ScenarioSpec {
     /// Derives the scenario at `id` — the one pure function from address
@@ -228,14 +234,62 @@ impl ScenarioSpec {
             .collect()
     }
 
+    /// Rejects fields no generated or minimized spec can carry, naming
+    /// the first offending field.
+    fn validate(&self) -> Result<(), FleetError> {
+        let bad = |field: &str, rule: &str| {
+            Err(FleetError::Scenario(format!("`{field}` must be {rule}")))
+        };
+        for (field, value) in [
+            ("die_edge_mm", self.die_edge_mm),
+            ("total_power_w", self.total_power_w),
+            ("power_scale", self.power_scale),
+            ("ambient_c", self.ambient_c),
+            ("airflow_scale", self.airflow_scale),
+        ] {
+            if !value.is_finite() {
+                return bad(field, "finite");
+            }
+        }
+        for (field, value) in [
+            ("die_edge_mm", self.die_edge_mm),
+            ("power_scale", self.power_scale),
+            ("airflow_scale", self.airflow_scale),
+        ] {
+            if value <= 0.0 {
+                return bad(field, "positive");
+            }
+        }
+        if self.total_power_w < 0.0 {
+            return bad("total_power_w", "non-negative");
+        }
+        let absolute_zero = Temperature::from_kelvin(0.0).celsius();
+        let runaway_cap = PackageConfig::dac14_coarse().runaway_cap.celsius();
+        if self.ambient_c <= absolute_zero || self.ambient_c >= runaway_cap {
+            return bad(
+                "ambient_c",
+                "between absolute zero and the package's runaway cap",
+            );
+        }
+        if self.tiles > MAX_TILES {
+            return bad("tiles", &format!("at most {MAX_TILES}"));
+        }
+        if self.thermal_cells > MAX_THERMAL_CELLS {
+            return bad("thermal_cells", &format!("at most {MAX_THERMAL_CELLS}"));
+        }
+        Ok(())
+    }
+
     /// Reconstructs the cooling system this spec describes.
     ///
     /// # Errors
     ///
-    /// [`FleetError::Scenario`] when the spec names an unknown benchmark
-    /// or the workload does not fit the floorplan (possible only for
-    /// hand-edited spec files; generated specs always build).
+    /// [`FleetError::Scenario`] when a field is out of range, the spec
+    /// names an unknown benchmark, or the workload does not fit the
+    /// floorplan (possible only for hand-edited spec files; generated
+    /// specs always build).
     pub fn build(&self) -> Result<CoolingSystem, FleetError> {
+        self.validate()?;
         let pkg = self.package();
         match self.class {
             ScenarioClass::Dac14Perturbed => {
@@ -338,6 +392,31 @@ mod tests {
             .expect("population contains partially covered grids");
         let system = spec.build().unwrap();
         assert!(system.tec_model().has_tec());
+    }
+
+    #[test]
+    fn out_of_range_specs_are_typed_errors() {
+        let grid = (0..200)
+            .map(|i| ScenarioSpec::generate(id(13, 0, i)))
+            .find(|s| s.class == ScenarioClass::SyntheticGrid)
+            .expect("population contains synthetic grids");
+        type Corrupt = fn(&mut ScenarioSpec);
+        let cases: [(&str, Corrupt); 5] = [
+            ("die_edge_mm", |s| s.die_edge_mm = -1.0),
+            ("die_edge_mm", |s| s.die_edge_mm = 0.0),
+            ("airflow_scale", |s| s.airflow_scale = -1.0),
+            ("ambient_c", |s| s.ambient_c = 1e308),
+            ("thermal_cells", |s| s.thermal_cells = 100_000),
+        ];
+        for (field, corrupt) in cases {
+            let mut spec = grid.clone();
+            corrupt(&mut spec);
+            match spec.build() {
+                Err(FleetError::Scenario(msg)) => assert!(msg.contains(field), "{msg}"),
+                Err(other) => panic!("{field}: wrong error {other}"),
+                Ok(_) => panic!("{field}: out-of-range spec built"),
+            }
+        }
     }
 
     #[test]

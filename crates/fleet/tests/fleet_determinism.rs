@@ -141,7 +141,7 @@ fn injected_fault_yields_a_replayable_reproducer() {
     let case: ReproCase = serde_json::from_str(&text).expect("parse reproducer");
     assert_eq!(case.fault, Some(plan), "reproducer must carry the fault");
     assert!(
-        !case.replay().is_empty(),
+        !case.replay().expect("reproducer builds").is_empty(),
         "reproducer must still reproduce on replay"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -32,9 +32,6 @@
 //!                              (default 0: auto, up to 4)
 //!   --max-inflight <n>         pipelined requests per connection before
 //!                              the worker stops reading it (default 64)
-//!   --batch-window-ms <ms>     micro-batch window (default 0: dispatch
-//!                              immediately, still draining queued jobs)
-//!   --batch-max <n>            max jobs per batch (default 32)
 //!   --queue-capacity <n>       admission queue bound (default 256)
 //!   --coarse                   coarse DAC'14 package (fast solves)
 //!   --prewarm <benchmark>      build the benchmark's system and reduced
@@ -183,14 +180,6 @@ fn parse_serve_config(
             "--max-inflight" => {
                 config.max_inflight =
                     (parse_num("--max-inflight", value("--max-inflight")?)? as usize).max(1);
-            }
-            "--batch-window-ms" => {
-                let ms = parse_num("--batch-window-ms", value("--batch-window-ms")?)?;
-                config.batch_window = Duration::from_millis(ms);
-            }
-            "--batch-max" => {
-                config.batch_max =
-                    (parse_num("--batch-max", value("--batch-max")?)? as usize).max(1);
             }
             "--queue-capacity" => {
                 config.queue_capacity =

@@ -342,6 +342,13 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that move the global cache counters, so the
+    /// ones asserting counter deltas never see a sibling's lookups.
+    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Single-shard cache: exact global LRU, so eviction-order tests stay
     /// deterministic regardless of key-to-shard placement.
     fn cache(capacity: usize, ttl: Option<Duration>) -> QuantizedCache {
@@ -380,6 +387,7 @@ mod tests {
 
     #[test]
     fn hit_returns_exact_payload() {
+        let _serial = counter_lock();
         let c = cache(8, None);
         let k = c.key_for(&spec(3000.0, 1.5));
         assert_eq!(c.get(&k), None);
@@ -392,6 +400,7 @@ mod tests {
 
     #[test]
     fn ttl_zero_expires_deterministically() {
+        let _serial = counter_lock();
         let c = cache(8, Some(Duration::ZERO));
         let k = c.key_for(&spec(3000.0, 1.5));
         c.insert(k, "x".into());
@@ -403,6 +412,7 @@ mod tests {
 
     #[test]
     fn evicts_in_lru_order() {
+        let _serial = counter_lock();
         let c = cache(2, None);
         let (ka, kb, kc) = (
             c.key_for(&spec(1000.0, 0.0)),
@@ -424,6 +434,7 @@ mod tests {
 
     #[test]
     fn counters_track_hits_and_misses() {
+        let _serial = counter_lock();
         let c = cache(8, None);
         let k = c.key_for(&spec(4000.0, 2.0));
         let (h0, m0) = (CACHE_HITS.get(), CACHE_MISSES.get());
@@ -437,6 +448,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
+        let _serial = counter_lock();
         let c = cache(0, None);
         let k = c.key_for(&spec(3000.0, 1.5));
         c.insert(k, "v".into());
@@ -446,6 +458,7 @@ mod tests {
 
     #[test]
     fn recency_queue_compacts_under_churn() {
+        let _serial = counter_lock();
         let c = cache(2, None);
         let k = c.key_for(&spec(1000.0, 0.0));
         c.insert(k, "v".into());
@@ -464,6 +477,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_behaves_like_one_store() {
+        let _serial = counter_lock();
         let c = QuantizedCache::new(CacheConfig {
             capacity: 256,
             shards: 8,

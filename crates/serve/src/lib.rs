@@ -8,10 +8,10 @@
 //! - **Typed protocol** ([`protocol`]): every malformed line, unknown
 //!   benchmark, or pipeline failure is a machine-readable error response
 //!   on the same connection — never a dropped socket, never a panic.
-//! - **Micro-batching** ([`queue`], [`engine`]): concurrent solve
-//!   requests collected over a short window are dispatched as one batch
-//!   on the `oftec-parallel` scoped-thread executor, with per-request
-//!   panic isolation.
+//! - **Micro-batching** ([`queue`], [`engine`]): solve requests already
+//!   queued when the dispatcher wakes are dispatched as one batch (up to
+//!   [`queue::BATCH_MAX`]) on the `oftec-parallel` scoped-thread
+//!   executor, with per-request panic isolation.
 //! - **Quantized result cache** ([`cache`]): operating points rounded to
 //!   a configurable grid, LRU + TTL eviction, hit/miss/eviction counters
 //!   on the telemetry registry. Hits replay byte-identical payloads on
@@ -27,10 +27,6 @@
 //!   workers multiplexes all connections over nonblocking sockets with
 //!   reusable per-connection buffers — thread count is fixed by
 //!   configuration, not by client count.
-//! - **Binary wire format** ([`wire`]): length-prefixed solve frames
-//!   negotiated per message alongside NDJSON, answering with the exact
-//!   JSON envelope bytes of the NDJSON path (framed instead of
-//!   newline-terminated), so results are byte-identical across wires.
 //!
 //! The companion binaries live in this crate: `oftec-cli` (with the
 //! `serve` subcommand) and `oftec-loadgen` (closed/open-loop load
@@ -42,7 +38,6 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod trace;
-pub mod wire;
 
 pub use cache::{CacheConfig, CacheKey, QuantizedCache};
 pub use engine::{reference_payload, Engine, FaultPlan};

@@ -3,9 +3,9 @@
 //! Connection threads `try_push` jobs; a full queue is an immediate
 //! typed `overloaded` rejection (clients see backpressure instead of
 //! unbounded latency). The single dispatcher thread `pop_batch`es:
-//! block for the first job, then keep collecting until the batch window
-//! elapses or the batch size cap is reached, so concurrent requests
-//! amortize onto one scoped-thread executor dispatch.
+//! block for the first job, then take everything else already queued, up
+//! to [`BATCH_MAX`], so concurrent requests amortize onto one
+//! scoped-thread executor dispatch without holding a lone request back.
 //!
 //! `close` flips the queue into drain mode — pushes are rejected with
 //! `shutting_down`, but everything already admitted is still handed to
@@ -34,6 +34,9 @@ use std::time::{Duration, Instant};
 pub static QUEUE_EXPIRED: Counter = Counter::new("serve.queue.expired");
 /// Queued jobs evicted (predicted to miss) to admit a live arrival.
 pub static QUEUE_EVICTED: Counter = Counter::new("serve.queue.evicted");
+
+/// Most jobs one `pop_batch` hands the dispatcher.
+pub const BATCH_MAX: usize = 32;
 
 /// What the engine sends back per job: the solve result plus the job's
 /// finished trace (stage stamps and outcome filled in by the engine).
@@ -75,8 +78,6 @@ struct State {
 /// deque with no cross-field invariants.
 pub struct JobQueue {
     capacity: usize,
-    batch_max: usize,
-    batch_window: Duration,
     state: Mutex<State>,
     wake: Condvar,
     /// EWMA of per-job dispatcher service time in nanoseconds (0 = no
@@ -99,11 +100,9 @@ fn reply_deadline(mut job: Job, message: &str) {
 }
 
 impl JobQueue {
-    pub fn new(capacity: usize, batch_max: usize, batch_window: Duration) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            batch_max: batch_max.max(1),
-            batch_window,
             state: Mutex::new(State {
                 jobs: VecDeque::new(),
                 closed: false,
@@ -211,15 +210,18 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Blocks for the next micro-batch. Waits for a first job, then keeps
-    /// collecting until the batch window closes or `batch_max` is
-    /// reached. Returns `None` only once the queue is closed *and*
-    /// drained — the dispatcher finishes all admitted work first.
+    /// Blocks for the next micro-batch: waits for a first job, then
+    /// takes every job already queued, up to [`BATCH_MAX`], without
+    /// waiting for more. Returns `None` only once the queue is closed
+    /// *and* drained — the dispatcher finishes all admitted work first.
     pub fn pop_batch(&self) -> Option<Vec<Job>> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // Phase 1: wait for the first job (or close + empty).
         loop {
-            if let Some(job) = st.jobs.pop_front() {
+            let mut batch = Vec::with_capacity(st.jobs.len().min(BATCH_MAX));
+            while batch.len() < BATCH_MAX {
+                let Some(job) = st.jobs.pop_front() else {
+                    break;
+                };
                 // Dequeue-side purge: a job that expired while queued is
                 // answered here instead of being handed to the engine.
                 if job.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -227,37 +229,9 @@ impl JobQueue {
                     reply_deadline(job, "deadline expired while queued");
                     continue;
                 }
-                let mut batch = Vec::with_capacity(self.batch_max.min(8));
                 batch.push(job);
-                let window_ends = Instant::now() + self.batch_window;
-                // Phase 2: fill the batch until window end or cap. Once
-                // closed, drain eagerly — no reason to wait the window out.
-                while batch.len() < self.batch_max {
-                    if let Some(next) = st.jobs.pop_front() {
-                        if next.deadline.is_some_and(|d| Instant::now() >= d) {
-                            QUEUE_EXPIRED.add(1);
-                            reply_deadline(next, "deadline expired while queued");
-                            continue;
-                        }
-                        batch.push(next);
-                        continue;
-                    }
-                    if st.closed {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= window_ends {
-                        break;
-                    }
-                    let (next_st, timeout) = self
-                        .wake
-                        .wait_timeout(st, window_ends - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = next_st;
-                    if timeout.timed_out() && st.jobs.is_empty() {
-                        break;
-                    }
-                }
+            }
+            if !batch.is_empty() {
                 return Some(batch);
             }
             if st.closed {
@@ -320,7 +294,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overload() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2);
         let (j1, _r1) = job();
         let (j2, _r2) = job();
         let (j3, _r3) = job();
@@ -335,7 +309,7 @@ mod tests {
 
     #[test]
     fn close_rejects_pushes_but_drains_queue() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8);
         let (j1, _r1) = job();
         q.try_push(j1).unwrap();
         q.close();
@@ -348,22 +322,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_collects_queued_jobs() {
-        let q = JobQueue::new(8, 3, Duration::from_millis(50));
+    fn batch_takes_everything_queued_up_to_the_cap() {
+        let q = JobQueue::new(2 * BATCH_MAX);
         let mut rxs = Vec::new();
-        for _ in 0..5 {
-            let (j, r) = job();
-            q.try_push(j).unwrap();
-            rxs.push(r);
-        }
-        // Cap bounds the first batch; the rest arrive in the second.
+        let mut push = |n: usize| {
+            for _ in 0..n {
+                let (j, r) = job();
+                q.try_push(j).unwrap();
+                rxs.push(r);
+            }
+        };
+        // Jobs already queued leave in one batch, and the open queue does
+        // not hold it back waiting for more.
+        push(3);
         assert_eq!(q.pop_batch().map(|b| b.len()), Some(3));
-        assert_eq!(q.pop_batch().map(|b| b.len()), Some(2));
+        // The cap bounds a batch; the rest leave in the next one.
+        push(BATCH_MAX + 5);
+        assert_eq!(q.pop_batch().map(|b| b.len()), Some(BATCH_MAX));
+        assert_eq!(q.pop_batch().map(|b| b.len()), Some(5));
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn pop_blocks_until_work_arrives() {
-        let q = Arc::new(JobQueue::new(8, 8, Duration::from_millis(1)));
+        let q = Arc::new(JobQueue::new(8));
         let q2 = Arc::clone(&q);
         #[expect(
             clippy::disallowed_methods,
@@ -394,7 +376,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_purged_at_push() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2);
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(2)));
         q.try_push(ja).unwrap();
         let (jb, _rb) = job();
@@ -414,7 +396,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_purged_at_pop() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8);
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(2)));
         q.try_push(ja).unwrap();
         let (jb, _rb) = job();
@@ -430,7 +412,7 @@ mod tests {
 
     #[test]
     fn predicted_misses_are_shed_at_admission() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8);
         // Already-expired deadlines are shed outright, even with no
         // service-time estimate yet.
         let (ja, _ra) = job_with_deadline(Some(Instant::now() - Duration::from_millis(1)));
@@ -447,7 +429,7 @@ mod tests {
 
     #[test]
     fn full_queue_evicts_doomed_job_for_live_arrival() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2);
         // Admit a tight-deadline job while no service estimate exists...
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(50)));
         q.try_push(ja).unwrap();
@@ -471,7 +453,7 @@ mod tests {
 
     #[test]
     fn service_ewma_converges_on_samples() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8);
         assert_eq!(q.service_estimate_ns(), 0);
         q.record_service(1000);
         assert_eq!(q.service_estimate_ns(), 1000);

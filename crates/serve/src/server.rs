@@ -4,15 +4,13 @@
 //! the accept loop assigns each connection (round-robin) to a worker,
 //! and each worker drives its connections with nonblocking reads/writes
 //! and reusable per-connection buffers — thread count is fixed by
-//! [`ServeConfig::conn_workers`], not by client count. Messages are
-//! framed per the sniffed wire format (NDJSON lines or [`crate::wire`]
-//! binary frames, interleaving freely on one connection); `health`,
-//! `metrics`, and cache hits are answered inline on the worker (the
-//! sub-millisecond path); solve misses are admitted into the bounded
-//! deadline-aware [`JobQueue`] and batched onto the executor by a single
-//! dispatcher thread, their replies pumped back in request order as they
-//! resolve (responses pipeline up to [`ServeConfig::max_inflight`] per
-//! connection).
+//! [`ServeConfig::conn_workers`], not by client count. Requests arrive
+//! as newline-delimited JSON lines; `health`, `metrics`, and cache hits
+//! are answered inline on the worker (the sub-millisecond path); solve
+//! misses are admitted into the bounded deadline-aware [`JobQueue`] and
+//! batched onto the executor by a single dispatcher thread, their replies
+//! pumped back in request order as they resolve (responses pipeline up
+//! to [`ServeConfig::max_inflight`] per connection).
 //!
 //! A panicking connection is contained: the worker catches the unwind,
 //! counts it in `serve.panics`, and drops only that connection — its
@@ -27,7 +25,6 @@ use crate::engine::{Engine, FaultPlan, SERVE_DEADLINE_EXCEEDED, SERVE_PANICS};
 use crate::protocol::{self, error_cause, ErrBody, Request, SolveSpec};
 use crate::queue::{Job, JobQueue, PushError};
 use crate::trace::TraceContext;
-use crate::wire;
 use oftec_telemetry as telemetry;
 use oftec_telemetry::{Counter, Field, FlightRecorder, Severity, SloMonitor, SloStatus};
 use oftec_thermal::PackageConfig;
@@ -46,10 +43,6 @@ pub static SERVE_CONNECTIONS: Counter = Counter::new("serve.connections");
 pub static SERVE_PROBES: Counter = Counter::new("serve.probes");
 pub static SERVE_OVERLOADED: Counter = Counter::new("serve.overloaded");
 pub static SERVE_SPAWN_FAILURES: Counter = Counter::new("serve.worker_spawn_failures");
-
-// Per-wire message counters: which format each request arrived in.
-pub static SERVE_WIRE_NDJSON: Counter = Counter::new("serve.wire.ndjson");
-pub static SERVE_WIRE_BINARY: Counter = Counter::new("serve.wire.binary");
 
 // Typed per-cause error counters: `serve.responses_err` equals their sum,
 // so a bench report never contains an opaque `failed` bucket.
@@ -76,20 +69,11 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Result-cache quantization and eviction settings.
     pub cache: CacheConfig,
-    /// How long the dispatcher holds a batch open for stragglers.
-    pub batch_window: Duration,
-    /// Maximum jobs per batch.
-    pub batch_max: usize,
     /// Admission-queue capacity; beyond it requests get `overloaded`.
     pub queue_capacity: usize,
     /// Maximum request-line length in bytes; longer lines get
-    /// `line_too_long` and are discarded to the next newline. Also bounds
-    /// binary frame bodies (`frame_too_long`).
+    /// `line_too_long` and are discarded to the next newline.
     pub max_line_bytes: usize,
-    /// Legacy poll interval from the blocking-read servers; the
-    /// nonblocking shard workers pace themselves with an adaptive idle
-    /// backoff instead, so this now only caps that backoff.
-    pub read_timeout: Duration,
     /// Use the coarse DAC'14 package (fast solves; tests and smoke).
     pub coarse: bool,
     /// Fault-injection plan (tests only).
@@ -129,15 +113,8 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: 0,
             cache: CacheConfig::default(),
-            // Zero window: `pop_batch` still drains everything already
-            // queued into one batch, but a lone request is dispatched
-            // immediately — with microsecond reduced-order solves,
-            // holding the batch open costs more than it amortizes.
-            batch_window: Duration::ZERO,
-            batch_max: 32,
             queue_capacity: 256,
             max_line_bytes: 64 * 1024,
-            read_timeout: Duration::from_millis(25),
             coarse: false,
             fault: None,
             telemetry_json: None,
@@ -158,6 +135,10 @@ impl Default for ServeConfig {
 /// next sweep harvests a batch of arrivals instead of polling one
 /// message at a time (see the note in [`worker_loop`]).
 const COALESCE_NAP: Duration = Duration::from_micros(100);
+/// Idle backoff of a shard worker: each empty sweep past the third naps
+/// one more step, up to the cap.
+const IDLE_NAP_STEP: Duration = Duration::from_micros(20);
+const IDLE_NAP_CAP: Duration = Duration::from_micros(200);
 
 /// Rolling window length of every SLO monitor, in observations.
 const SLO_WINDOW: usize = 256;
@@ -246,7 +227,6 @@ struct Shared {
     /// Live shard workers (for the health payload).
     workers: AtomicUsize,
     started: Instant,
-    read_timeout: Duration,
     max_line_bytes: usize,
     max_inflight: usize,
     recorder: FlightRecorder,
@@ -291,12 +271,11 @@ impl Server {
         let shared = Arc::new(Shared {
             engine: Engine::new(package, Arc::clone(&cache), threads, config.fault),
             cache,
-            queue: JobQueue::new(config.queue_capacity, config.batch_max, config.batch_window),
+            queue: JobQueue::new(config.queue_capacity),
             stop: Arc::new(AtomicBool::new(false)),
             connections: AtomicUsize::new(0),
             workers: AtomicUsize::new(0),
             started: Instant::now(),
-            read_timeout: config.read_timeout,
             max_line_bytes: config.max_line_bytes,
             max_inflight: config.max_inflight.max(1),
             recorder: FlightRecorder::new(config.flight_recent, config.flight_errors),
@@ -501,8 +480,6 @@ fn authoritative_snapshot() -> telemetry::Snapshot {
         &SERVE_PROBES,
         &SERVE_OVERLOADED,
         &SERVE_SPAWN_FAILURES,
-        &SERVE_WIRE_NDJSON,
-        &SERVE_WIRE_BINARY,
         &SERVE_ERR_PARSE,
         &SERVE_ERR_OVERLOAD,
         &SERVE_ERR_DEADLINE,
@@ -549,16 +526,9 @@ impl Drop for ConnGauge {
 /// What the accept loop hands a shard worker.
 type NewConn = (TcpStream, u64, ConnGauge);
 
-/// Which wire format a message arrived in (and its response leaves in).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Wire {
-    Ndjson,
-    Binary,
-}
-
 /// A response waiting to leave a connection, in request order.
 enum Outgoing {
-    /// Fully encoded bytes (newline-terminated line or binary frame).
+    /// Fully encoded, newline-terminated bytes.
     Ready(Vec<u8>),
     /// A queued solve whose reply has not resolved yet.
     Pending {
@@ -566,29 +536,13 @@ enum Outgoing {
         id: Option<u64>,
         conn: u64,
         seq: u64,
-        wire: Wire,
     },
-}
-
-/// Read-side resynchronization state after an oversized message.
-enum Discard {
-    None,
-    /// Dropping until the next newline; report `line_too_long` there.
-    Line,
-    /// Dropping this many more bytes of an oversized frame body.
-    Frame(usize),
 }
 
 /// One message extracted from a connection's read buffer.
 enum Msg {
     Line(String),
     TooLongLine,
-    Frame(Vec<u8>),
-    /// Announced body length exceeded the cap; body bytes are discarded.
-    TooLongFrame(usize),
-    /// Unsupported frame version: unrecoverable (the announced length
-    /// cannot be trusted, so the stream cannot be resynchronized).
-    BadVersion(ErrBody),
 }
 
 /// Per-connection state owned by exactly one shard worker.
@@ -604,14 +558,16 @@ struct ConnState {
     wpos: usize,
     /// Responses in request order, pumped front-first.
     out: VecDeque<Outgoing>,
-    discard: Discard,
+    /// Dropping an oversized line until its newline, where
+    /// `line_too_long` is reported.
+    discarding: bool,
     /// Workload request sequence (probes excluded, so the same workload
     /// script yields the same trace ids regardless of side-channel
     /// polling).
     workload_seq: u64,
     /// Whether this connection has been counted in `serve.connections`.
     counted: bool,
-    /// Read side finished (EOF or unrecoverable framing); flush and drop.
+    /// Read side finished (EOF); flush and drop.
     eof: bool,
     /// Hard I/O error; drop immediately.
     dead: bool,
@@ -631,7 +587,7 @@ impl ConnState {
             wbuf: Vec::new(),
             wpos: 0,
             out: VecDeque::new(),
-            discard: Discard::None,
+            discarding: false,
             workload_seq: 0,
             counted: false,
             eof: false,
@@ -659,107 +615,46 @@ impl ConnState {
         }
     }
 
-    /// Appends an encoded response envelope for `wire` to the out queue.
-    fn push_ready(&mut self, wire: Wire, envelope: &str) {
-        let mut bytes = Vec::with_capacity(envelope.len() + wire::FRAME_HEADER_LEN + 1);
-        match wire {
-            Wire::Ndjson => {
-                bytes.extend_from_slice(envelope.as_bytes());
-                bytes.push(b'\n');
-            }
-            Wire::Binary => wire::encode_frame_into(&mut bytes, envelope.as_bytes()),
-        }
+    /// Appends an encoded response envelope to the out queue.
+    fn push_ready(&mut self, envelope: &str) {
+        let mut bytes = Vec::with_capacity(envelope.len() + 1);
+        append_line(&mut bytes, envelope);
         self.out.push_back(Outgoing::Ready(bytes));
     }
 }
 
-/// Encodes one resolved reply into response bytes.
-fn encode_reply(wire: Wire, envelope: &str, wbuf: &mut Vec<u8>) {
-    match wire {
-        Wire::Ndjson => {
-            wbuf.extend_from_slice(envelope.as_bytes());
-            wbuf.push(b'\n');
-        }
-        Wire::Binary => wire::encode_frame_into(wbuf, envelope.as_bytes()),
-    }
+/// Appends one response envelope and its terminating newline.
+fn append_line(buf: &mut Vec<u8>, envelope: &str) {
+    buf.extend_from_slice(envelope.as_bytes());
+    buf.push(b'\n');
 }
 
-/// Extracts the next complete message from `buf`, advancing the discard
+/// Extracts the next complete line from `buf`, advancing the discard
 /// state. Returns the bytes consumed and the message, if one completed.
-fn extract_message(buf: &[u8], discard: &mut Discard, max: usize) -> (usize, Option<Msg>) {
+fn extract_message(buf: &[u8], discarding: &mut bool, max: usize) -> (usize, Option<Msg>) {
     let mut used = 0;
     loop {
         let b = &buf[used..];
-        match *discard {
-            Discard::Line => match b.iter().position(|&c| c == b'\n') {
-                Some(pos) => {
-                    used += pos + 1;
-                    *discard = Discard::None;
-                    return (used, Some(Msg::TooLongLine));
-                }
-                None => return (used + b.len(), None),
-            },
-            Discard::Frame(rem) => {
-                let take = rem.min(b.len());
-                used += take;
-                if take < rem {
-                    *discard = Discard::Frame(rem - take);
-                    return (used, None);
-                }
-                *discard = Discard::None;
-                continue;
+        let Some(pos) = b.iter().position(|&c| c == b'\n') else {
+            if *discarding || b.len() > max {
+                // Discard until the newline arrives, then report once.
+                *discarding = true;
+                return (buf.len(), None);
             }
-            Discard::None => {}
-        }
-        if b.is_empty() {
             return (used, None);
+        };
+        used += pos + 1;
+        // A complete line can arrive in one chunk and still be over the
+        // cap; check at extraction too.
+        if *discarding || pos > max {
+            *discarding = false;
+            return (used, Some(Msg::TooLongLine));
         }
-        if b[0] == wire::FRAME_MAGIC {
-            if b.len() < wire::FRAME_HEADER_LEN {
-                return (used, None);
-            }
-            match wire::decode_header(&b[..wire::FRAME_HEADER_LEN]) {
-                // The rest of the stream cannot be framed; consume it all
-                // (the connection closes after the error is flushed).
-                Err(e) => return (used + b.len(), Some(Msg::BadVersion(e))),
-                Ok(len) => {
-                    if len > max {
-                        used += wire::FRAME_HEADER_LEN;
-                        *discard = Discard::Frame(len);
-                        return (used, Some(Msg::TooLongFrame(len)));
-                    }
-                    if b.len() < wire::FRAME_HEADER_LEN + len {
-                        return (used, None);
-                    }
-                    let body = b[wire::FRAME_HEADER_LEN..wire::FRAME_HEADER_LEN + len].to_vec();
-                    used += wire::FRAME_HEADER_LEN + len;
-                    return (used, Some(Msg::Frame(body)));
-                }
-            }
+        let text = String::from_utf8_lossy(&b[..pos]).trim().to_string();
+        if !text.is_empty() {
+            return (used, Some(Msg::Line(text)));
         }
-        match b.iter().position(|&c| c == b'\n') {
-            Some(pos) => {
-                used += pos + 1;
-                // A complete line can arrive in one chunk and still be
-                // over the cap; check at extraction too.
-                if pos > max {
-                    return (used, Some(Msg::TooLongLine));
-                }
-                let text = String::from_utf8_lossy(&b[..pos]).trim().to_string();
-                if text.is_empty() {
-                    continue; // blank lines are keep-alive no-ops
-                }
-                return (used, Some(Msg::Line(text)));
-            }
-            None => {
-                if b.len() > max {
-                    // Discard until the newline arrives, then report once.
-                    *discard = Discard::Line;
-                    return (used + b.len(), None);
-                }
-                return (used, None);
-            }
-        }
+        // Blank lines are keep-alive no-ops.
     }
 }
 
@@ -840,9 +735,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<NewConn>) {
                 // Escalating nap, capped: long enough to cede the core to
                 // clients on a shared box, short enough to stay off the
                 // tail latency.
-                let cap = shared.read_timeout.min(Duration::from_micros(200));
-                let nap = Duration::from_micros(u64::from(idle.min(10)) * 20).min(cap);
-                std::thread::sleep(nap);
+                std::thread::sleep((IDLE_NAP_STEP * idle).min(IDLE_NAP_CAP));
             }
         }
     }
@@ -878,7 +771,7 @@ fn step_conn(
     while conn.out.len() < shared.max_inflight {
         let (n, msg) = extract_message(
             &conn.rbuf[consumed..],
-            &mut conn.discard,
+            &mut conn.discarding,
             shared.max_line_bytes,
         );
         consumed += n;
@@ -919,7 +812,7 @@ fn pump_out(shared: &Arc<Shared>, conn: &mut ConnState) -> bool {
             Some(Outgoing::Pending { rx, .. }) => match rx.try_recv() {
                 Err(mpsc::TryRecvError::Empty) => break,
                 Ok((result, trace)) => {
-                    if let Some(Outgoing::Pending { id, wire, .. }) = conn.out.pop_front() {
+                    if let Some(Outgoing::Pending { id, .. }) = conn.out.pop_front() {
                         finish_workload(shared, &trace);
                         let envelope = match result {
                             Ok(payload) => protocol::ok_line_traced(
@@ -932,17 +825,13 @@ fn pump_out(shared: &Arc<Shared>, conn: &mut ConnState) -> bool {
                                 protocol::err_line_traced(id, &trace.envelope_json(false), &err)
                             }
                         };
-                        encode_reply(wire, &envelope, &mut conn.wbuf);
+                        append_line(&mut conn.wbuf, &envelope);
                         active = true;
                     }
                 }
                 Err(mpsc::TryRecvError::Disconnected) => {
                     if let Some(Outgoing::Pending {
-                        id,
-                        conn: c,
-                        seq,
-                        wire,
-                        ..
+                        id, conn: c, seq, ..
                     }) = conn.out.pop_front()
                     {
                         // Dispatcher dropped the sender without a reply —
@@ -956,7 +845,7 @@ fn pump_out(shared: &Arc<Shared>, conn: &mut ConnState) -> bool {
                         let err = ErrBody::new("internal", "solve pipeline dropped the request");
                         let envelope =
                             protocol::err_line_traced(id, &trace.envelope_json(false), &err);
-                        encode_reply(wire, &envelope, &mut conn.wbuf);
+                        append_line(&mut conn.wbuf, &envelope);
                         active = true;
                     }
                 }
@@ -989,61 +878,31 @@ fn pump_out(shared: &Arc<Shared>, conn: &mut ConnState) -> bool {
 fn handle_message(shared: &Arc<Shared>, conn: &mut ConnState, msg: Msg) {
     match msg {
         Msg::TooLongLine => {
-            SERVE_WIRE_NDJSON.add(1);
             let err = ErrBody::new(
                 "line_too_long",
                 format!("request line exceeds {} bytes", shared.max_line_bytes),
             );
-            oversized(shared, conn, Wire::Ndjson, err);
-        }
-        Msg::TooLongFrame(len) => {
-            SERVE_WIRE_BINARY.add(1);
-            let err = ErrBody::new(
-                "frame_too_long",
-                format!(
-                    "frame body of {len} bytes exceeds {} bytes",
-                    shared.max_line_bytes
-                ),
-            );
-            oversized(shared, conn, Wire::Binary, err);
-        }
-        Msg::BadVersion(err) => {
-            SERVE_WIRE_BINARY.add(1);
-            oversized(shared, conn, Wire::Binary, err);
-            // The announced length cannot be trusted, so the stream
-            // cannot be resynchronized: answer, flush, close.
-            conn.eof = true;
+            conn.workload_seq += 1;
+            conn.count_workload();
+            let mut trace = TraceContext::new(conn.conn_id, conn.workload_seq);
+            trace.stage("parse");
+            trace.set_outcome(error_cause(err.kind));
+            finish_workload(shared, &trace);
+            let envelope = protocol::err_line_traced(None, &trace.envelope_json(false), &err);
+            conn.push_ready(&envelope);
         }
         #[expect(
             clippy::panic,
             reason = "test hook: deliberate panic to exercise worker containment and the gauge drop guard"
         )]
         Msg::Line(text) => {
-            SERVE_WIRE_NDJSON.add(1);
             if shared.panic_token.as_deref() == Some(text.as_str()) {
                 panic!("panic token received on connection {}", conn.conn_id);
             }
             let parsed = protocol::parse_line(&text);
-            dispatch_parsed(shared, conn, Wire::Ndjson, parsed);
-        }
-        Msg::Frame(body) => {
-            SERVE_WIRE_BINARY.add(1);
-            let parsed = wire::decode_body(&body);
-            dispatch_parsed(shared, conn, Wire::Binary, parsed);
+            dispatch_parsed(shared, conn, parsed);
         }
     }
-}
-
-/// Answers an oversized/unframeable message as a typed workload error.
-fn oversized(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, err: ErrBody) {
-    conn.workload_seq += 1;
-    conn.count_workload();
-    let mut trace = TraceContext::new(conn.conn_id, conn.workload_seq);
-    trace.stage("parse");
-    trace.set_outcome(error_cause(err.kind));
-    finish_workload(shared, &trace);
-    let envelope = protocol::err_line_traced(None, &trace.envelope_json(false), &err);
-    conn.push_ready(wire, &envelope);
 }
 
 /// Routes a parsed (or unparsable) request, mirroring the old
@@ -1052,7 +911,7 @@ fn oversized(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, err: ErrBod
 /// flow through the trace/counter machinery.
 type Parsed = Result<(Option<u64>, Request), (Option<u64>, ErrBody)>;
 
-fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, parsed: Parsed) {
+fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, parsed: Parsed) {
     // The context opens before the parse result is inspected so the
     // `parse` stage covers it; probes discard the context without
     // consuming a sequence number.
@@ -1078,7 +937,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, parse
         Ok((id, request)) if is_probe => {
             SERVE_PROBES.add(1);
             let envelope = handle_probe(shared, id, &request);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
             if is_shutdown {
                 // The ack must reach the requester before the drain
                 // starts; the stop flag is set once it is flushed.
@@ -1090,7 +949,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, parse
             conn.count_workload();
             match request {
                 Request::Optimize { spec } | Request::Steady { spec } | Request::Sweep { spec } => {
-                    handle_solve(shared, conn, wire, id, spec, trace);
+                    handle_solve(shared, conn, id, spec, trace);
                 }
                 // Probe variants are filtered by `is_probe` above.
                 _ => {
@@ -1098,7 +957,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, parse
                     finish_workload(shared, &trace);
                     let err = ErrBody::new("internal", "probe routed to workload path");
                     let envelope = protocol::err_line_traced(id, &trace.envelope_json(false), &err);
-                    conn.push_ready(wire, &envelope);
+                    conn.push_ready(&envelope);
                 }
             }
         }
@@ -1108,7 +967,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, wire: Wire, parse
             trace.set_outcome(error_cause(err.kind));
             finish_workload(shared, &trace);
             let envelope = protocol::err_line_traced(id, &trace.envelope_json(false), &err);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
         }
     }
 }
@@ -1193,7 +1052,6 @@ fn handle_probe(shared: &Shared, id: Option<u64>, request: &Request) -> String {
 fn handle_solve(
     shared: &Arc<Shared>,
     conn: &mut ConnState,
-    wire: Wire,
     id: Option<u64>,
     spec: SolveSpec,
     mut trace: TraceContext,
@@ -1209,7 +1067,7 @@ fn handle_solve(
             finish_workload(shared, &trace);
             let envelope =
                 protocol::ok_line_traced(id, true, &trace.envelope_json(false), &payload);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
             return;
         }
         trace.stage("cache");
@@ -1240,7 +1098,7 @@ fn handle_solve(
                 "deadline cannot be met; shed at admission",
             );
             let envelope = protocol::err_line_traced(id, &job.trace.envelope_json(false), &err);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
         }
         Err((PushError::Full, mut job)) => {
             SERVE_OVERLOADED.add(1);
@@ -1248,14 +1106,14 @@ fn handle_solve(
             finish_workload(shared, &job.trace);
             let err = ErrBody::new("overloaded", "request queue is full; retry later");
             let envelope = protocol::err_line_traced(id, &job.trace.envelope_json(false), &err);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
         }
         Err((PushError::Closed, mut job)) => {
             job.trace.set_outcome("overload");
             finish_workload(shared, &job.trace);
             let err = ErrBody::new("shutting_down", "server is draining");
             let envelope = protocol::err_line_traced(id, &job.trace.envelope_json(false), &err);
-            conn.push_ready(wire, &envelope);
+            conn.push_ready(&envelope);
         }
         Ok(()) => {
             conn.out.push_back(Outgoing::Pending {
@@ -1263,7 +1121,6 @@ fn handle_solve(
                 id,
                 conn: conn_no,
                 seq,
-                wire,
             });
         }
     }

@@ -266,8 +266,6 @@ mod tests {
             "bad_request",
             "unknown_benchmark",
             "line_too_long",
-            "bad_frame",
-            "frame_too_long",
             "overloaded",
             "shutting_down",
             "deadline_exceeded",

@@ -8,9 +8,15 @@ mod common;
 use common::*;
 use oftec::faults::FaultKind;
 use oftec_power::Benchmark;
-use oftec_serve::{reference_payload, FaultPlan, ServeConfig, SolveKind, SolveSpec};
+use oftec_serve::engine::SERVE_PANICS;
+use oftec_serve::queue::Job;
+use oftec_serve::{
+    reference_payload, CacheConfig, Engine, FaultPlan, QuantizedCache, ServeConfig, SolveKind,
+    SolveSpec, TraceContext,
+};
 use oftec_thermal::PackageConfig;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 
 fn faulty_config(kind: FaultKind, every: usize) -> ServeConfig {
     ServeConfig {
@@ -25,8 +31,8 @@ fn steady_line(rpm: f64, id: u64) -> String {
     )
 }
 
-fn steady_reference(rpm: f64) -> String {
-    let spec = SolveSpec {
+fn steady_spec(rpm: f64) -> SolveSpec {
+    SolveSpec {
         kind: SolveKind::Steady,
         benchmark: Benchmark::Quicksort,
         scale: 1.0,
@@ -36,8 +42,12 @@ fn steady_reference(rpm: f64) -> String {
         current_points: 0,
         no_cache: true,
         deadline_ms: None,
-    };
-    reference_payload(&PackageConfig::dac14_coarse(), &spec, None).expect("reference solve")
+    }
+}
+
+fn steady_reference(rpm: f64) -> String {
+    reference_payload(&PackageConfig::dac14_coarse(), &steady_spec(rpm), None)
+        .expect("reference solve")
 }
 
 #[test]
@@ -77,56 +87,47 @@ fn every_third_solve_panics_deterministically_and_server_survives() {
 
 #[test]
 fn panic_mid_batch_only_fails_the_affected_requests() {
-    // A wide batch window coalesces the concurrent burst into shared
-    // batches, so injected panics land mid-batch.
+    // One nine-job batch straight through the engine: the fault draws run
+    // 1..=9 in job order, so items 3, 6 and 9 panic mid-batch (and the
+    // batch is wide enough to fan out onto the executor).
     let _guard = counter_lock();
-    let server = TestServer::start(ServeConfig {
-        batch_window: Duration::from_millis(25),
-        batch_max: 16,
-        ..faulty_config(FaultKind::Panic, 3)
-    });
-    let baseline = {
-        let mut conn = Conn::open(server.addr);
-        counter(&conn.request(r#"{"cmd":"metrics"}"#), "serve.panics")
+    let cache = Arc::new(QuantizedCache::new(CacheConfig::default()));
+    let plan = FaultPlan {
+        kind: FaultKind::Panic,
+        every: 3,
     };
-    let responses: Vec<(f64, String)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..=9u64)
-            .map(|i| {
-                let addr = server.addr;
-                scope.spawn(move || {
-                    let rpm = 2000.0 + 100.0 * i as f64;
-                    let mut conn = Conn::open(addr);
-                    (rpm, conn.request(&steady_line(rpm, i)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    // Which request draws a fault depends on arrival order, but the draw
-    // sequence itself is deterministic: exactly 3 of 9 items inject.
-    let panics: Vec<_> = responses.iter().filter(|(_, r)| !is_ok(r)).collect();
-    assert_eq!(
-        panics.len(),
-        3,
-        "exactly every third item panics: {responses:?}"
-    );
-    for (_, resp) in &panics {
-        assert_eq!(error_kind(resp), "panic");
+    let engine = Engine::new(PackageConfig::dac14_coarse(), cache, 2, Some(plan));
+    let baseline = SERVE_PANICS.get();
+    let (jobs, replies): (Vec<Job>, Vec<_>) = (1..=9u64)
+        .map(|i| {
+            let rpm = 2000.0 + 100.0 * i as f64;
+            let (tx, rx) = mpsc::channel();
+            let job = Job {
+                spec: steady_spec(rpm),
+                deadline: None,
+                enqueued: Instant::now(),
+                trace: TraceContext::new(1, i),
+                reply: tx,
+            };
+            (job, (rpm, rx))
+        })
+        .unzip();
+    engine.execute(jobs);
+    for (i, (rpm, rx)) in replies.into_iter().enumerate() {
+        let seq = i + 1;
+        let (result, _trace) = rx.recv().expect("every job is answered");
+        if seq % 3 == 0 {
+            let err = result.expect_err("every third item draws the panic");
+            assert_eq!(err.kind, "panic");
+        } else {
+            assert_eq!(
+                result.expect("batch-mates of a panicking item must survive"),
+                steady_reference(rpm),
+                "batch-mates of a panicking item must still be bit-identical"
+            );
+        }
     }
-    for (rpm, resp) in responses.iter().filter(|(_, r)| is_ok(r)) {
-        assert_eq!(
-            result_json(resp),
-            steady_reference(*rpm),
-            "batch-mates of a panicking item must still be bit-identical"
-        );
-    }
-    let mut conn = Conn::open(server.addr);
-    let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert_eq!(counter(&metrics, "serve.panics") - baseline, 3);
-    server.stop();
+    assert_eq!(SERVE_PANICS.get() - baseline, 3);
 }
 
 #[test]

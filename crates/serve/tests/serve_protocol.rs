@@ -58,6 +58,10 @@ fn framing_errors_are_typed_and_recoverable() {
     let resp = conn.request(&huge);
     assert_eq!(error_kind(&resp), "line_too_long");
 
+    // A line opening with a NUL byte is just malformed JSON.
+    let resp = conn.request("\0{\"cmd\":\"health\"}");
+    assert_eq!(error_kind(&resp), "bad_request");
+
     // Blank lines are ignored; a valid request after all that succeeds.
     conn.write_raw(b"\n\n");
     let resp = conn.request(r#"{"cmd":"health","id":7}"#);
@@ -185,11 +189,9 @@ fn repeat_requests_hit_the_cache_with_identical_payloads() {
 
 #[test]
 fn overload_rejections_are_explicit() {
-    // Tiny queue, one job per batch: a concurrent burst must overflow.
+    // Tiny queue: a concurrent burst must overflow.
     let server = TestServer::start(ServeConfig {
         queue_capacity: 1,
-        batch_max: 1,
-        batch_window: Duration::from_millis(0),
         ..test_config()
     });
     let responses: Vec<String> = std::thread::scope(|scope| {
@@ -241,13 +243,11 @@ fn expired_deadlines_get_typed_rejections() {
 
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let server = TestServer::start(ServeConfig {
-        batch_window: Duration::from_millis(50),
-        ..test_config()
-    });
-    // Park a slow request, then request shutdown from another connection
-    // while it is still in flight.
+    let server = TestServer::start(test_config());
+    // Park a slow request (a 64×64 uncached sweep), then request shutdown
+    // from another connection while it is still in flight.
     let addr = server.addr;
+    let pause = Duration::from_millis(10);
     #[expect(
         clippy::disallowed_methods,
         reason = "a concurrent client keeps a request in flight"
@@ -255,10 +255,10 @@ fn shutdown_drains_in_flight_requests() {
     let slow = std::thread::spawn(move || {
         let mut conn = Conn::open(addr);
         conn.request(
-            r#"{"cmd":"sweep","id":1,"benchmark":"qsort","omega_points":8,"current_points":6,"no_cache":true}"#,
+            r#"{"cmd":"sweep","id":1,"benchmark":"qsort","omega_points":64,"current_points":64,"no_cache":true}"#,
         )
     });
-    std::thread::sleep(Duration::from_millis(10));
+    std::thread::sleep(pause);
     let mut conn = Conn::open(addr);
     let ack = conn.request(r#"{"cmd":"shutdown","id":2}"#);
     assert!(is_ok(&ack), "shutdown must be acknowledged: {ack}");
@@ -267,6 +267,16 @@ fn shutdown_drains_in_flight_requests() {
     assert!(
         is_ok(&slow_resp),
         "drain must answer in-flight work: {slow_resp}"
+    );
+    // The sweep outlasted the pause, so it really was in flight when the
+    // shutdown arrived.
+    let trace = field(&envelope(&slow_resp), "trace");
+    let total_us = field(trace.as_map().expect("trace object"), "total_us")
+        .as_f64()
+        .expect("trace.total_us");
+    assert!(
+        total_us > pause.as_micros() as f64,
+        "the sweep took {total_us} µs, not longer than the {pause:?} pause"
     );
     // And the serve loop exits cleanly.
     server.stop();
