@@ -6,6 +6,10 @@ cargo build --release --workspace
 # The benchmark of record (BENCHMARK.json) is a standalone package over
 # the serve, fleet and core APIs: an API change that breaks it fails here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Its self-test runs every workload briefly and checks served payloads
+# against `reference_payload` and controller answers against the full
+# model: the end-to-end bit-identity of the reduced and cached paths.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
 cargo test -q --workspace
 # Compiler-enforced invariants (DESIGN.md §13). clippy.toml bans raw
 # `std::thread::spawn` everywhere (use the oftec-parallel scoped

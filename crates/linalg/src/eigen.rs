@@ -1,5 +1,6 @@
-//! Eigenvalue extremes of symmetric sparse matrices, via power and
-//! inverse-power iteration.
+//! Eigenvalues of symmetric matrices: the smallest of a sparse SPD
+//! matrix by inverse-power iteration, and full dense decompositions by
+//! cyclic Jacobi rotations.
 //!
 //! The thermal simulator uses [`smallest_eigenvalue`] as a *stability
 //! margin*: the folded network matrix is symmetric, and its smallest
@@ -40,49 +41,6 @@ fn seed_vector(n: usize) -> Vec<f64> {
             (state as f64 / u64::MAX as f64) - 0.5
         })
         .collect()
-}
-
-/// Estimates the largest eigenvalue (in magnitude) of a symmetric matrix
-/// by power iteration, returning `(λ, iterations)`.
-///
-/// # Errors
-///
-/// - [`LinalgError::NotSquare`] for rectangular input.
-/// - [`LinalgError::NotConverged`] if the tolerance is not reached.
-pub fn largest_eigenvalue(
-    a: &CsrMatrix,
-    params: &EigenParams,
-) -> Result<(f64, usize), LinalgError> {
-    if a.rows() != a.cols() {
-        return Err(LinalgError::NotSquare(a.rows(), a.cols()));
-    }
-    let n = a.rows();
-    let mut v = seed_vector(n);
-    let norm = vector::norm2(&v);
-    for x in &mut v {
-        *x /= norm;
-    }
-    let mut av = vec![0.0; n];
-    let mut lambda = 0.0;
-    for k in 1..=params.max_iter {
-        a.matvec_into(&v, &mut av);
-        let new_lambda = vector::dot(&v, &av);
-        let norm = vector::norm2(&av);
-        if norm == 0.0 {
-            return Ok((0.0, k));
-        }
-        for (vi, &ai) in v.iter_mut().zip(&av) {
-            *vi = ai / norm;
-        }
-        if (new_lambda - lambda).abs() <= params.rtol * new_lambda.abs().max(1e-300) {
-            return Ok((new_lambda, k));
-        }
-        lambda = new_lambda;
-    }
-    Err(LinalgError::NotConverged {
-        iterations: params.max_iter,
-        residual: f64::NAN,
-    })
 }
 
 /// Estimates the smallest eigenvalue of a symmetric **positive definite**
@@ -284,8 +242,6 @@ mod tests {
     #[test]
     fn diagonal_extremes_are_exact() {
         let a = diag(&[1.0, 5.0, 3.0, 0.25]);
-        let (hi, _) = largest_eigenvalue(&a, &EigenParams::default()).unwrap();
-        assert!((hi - 5.0).abs() < 1e-6);
         let (lo, _) = smallest_eigenvalue(&a, &EigenParams::default()).unwrap();
         assert!((lo - 0.25).abs() < 1e-6);
     }
@@ -296,11 +252,8 @@ mod tests {
         let n = 20;
         let a = laplacian(n);
         let exact_min = 2.0 - 2.0 * (std::f64::consts::PI / (n as f64 + 1.0)).cos();
-        let exact_max = 2.0 - 2.0 * (n as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
         let (lo, _) = smallest_eigenvalue(&a, &EigenParams::default()).unwrap();
-        let (hi, _) = largest_eigenvalue(&a, &EigenParams::default()).unwrap();
         assert!((lo - exact_min).abs() < 1e-5, "min {lo} vs {exact_min}");
-        assert!((hi - exact_max).abs() < 1e-4, "max {hi} vs {exact_max}");
     }
 
     #[test]
@@ -315,7 +268,7 @@ mod tests {
         t.push(0, 0, 1.0);
         let a = t.to_csr();
         assert!(matches!(
-            largest_eigenvalue(&a, &EigenParams::default()),
+            smallest_eigenvalue(&a, &EigenParams::default()),
             Err(LinalgError::NotSquare(2, 3))
         ));
     }

@@ -167,223 +167,6 @@ pub fn solve_cg(
     })
 }
 
-/// Single-precision shadow of a CSR matrix for the mixed-precision path:
-/// same pattern, `f32` values, plus a Jacobi preconditioner diagonal.
-struct CsrF32 {
-    row_ptr: Vec<usize>,
-    cols: Vec<u32>,
-    vals: Vec<f32>,
-    /// `1/diag` in f32 (1.0 where the diagonal is zero/non-finite).
-    inv_diag: Vec<f32>,
-}
-
-impl CsrF32 {
-    fn from_csr(a: &CsrMatrix) -> Self {
-        let n = a.rows();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(a.nnz());
-        let mut vals = Vec::with_capacity(a.nnz());
-        let mut inv_diag = vec![1.0f32; n];
-        row_ptr.push(0);
-        for r in 0..n {
-            for (c, v) in a.row_iter(r) {
-                cols.push(c as u32);
-                vals.push(v as f32);
-                if c == r {
-                    let d = v as f32;
-                    if d.is_finite() && d != 0.0 {
-                        inv_diag[r] = 1.0 / d;
-                    }
-                }
-            }
-            row_ptr.push(cols.len());
-        }
-        Self {
-            row_ptr,
-            cols,
-            vals,
-            inv_diag,
-        }
-    }
-
-    fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
-        for r in 0..self.row_ptr.len() - 1 {
-            let mut acc = 0.0f32;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.vals[k] * x[self.cols[k] as usize];
-            }
-            y[r] = acc;
-        }
-    }
-}
-
-/// Jacobi-preconditioned CG entirely in `f32`, run to a loose tolerance
-/// (or an iteration budget) from a zero start. Returns the approximate
-/// solution and the iterations spent; never errors — on breakdown it
-/// returns whatever progress was made and lets the f64 refinement loop
-/// judge the result.
-fn cg_f32(a: &CsrF32, b: &[f32], rtol: f32, max_iter: usize) -> (Vec<f32>, usize) {
-    let n = b.len();
-    let mut x = vec![0.0f32; n];
-    let mut r = b.to_vec();
-    let norm_b = r.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if norm_b <= 0.0 || !norm_b.is_finite() {
-        return (x, 0);
-    }
-    let target = rtol * norm_b;
-    let mut z: Vec<f32> = r.iter().zip(&a.inv_diag).map(|(ri, di)| ri * di).collect();
-    let mut p = z.clone();
-    let mut rz: f32 = r.iter().zip(&z).map(|(ri, zi)| ri * zi).sum();
-    let mut ap = vec![0.0f32; n];
-    for iter in 1..=max_iter {
-        a.matvec_into(&p, &mut ap);
-        let pap: f32 = p.iter().zip(&ap).map(|(pi, ai)| pi * ai).sum();
-        if pap <= 0.0 || !pap.is_finite() {
-            return (x, iter - 1);
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rnorm = r.iter().map(|v| v * v).sum::<f32>().sqrt();
-        if rnorm <= target || !rnorm.is_finite() {
-            return (x, iter);
-        }
-        for i in 0..n {
-            z[i] = r[i] * a.inv_diag[i];
-        }
-        let rz_new: f32 = r.iter().zip(&z).map(|(ri, zi)| ri * zi).sum();
-        if rz == 0.0 || !rz_new.is_finite() {
-            return (x, iter);
-        }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    (x, max_iter)
-}
-
-/// Solves SPD `A·x = b` by mixed-precision iterative refinement: inner
-/// Jacobi-CG sweeps in `f32` compute corrections, an outer `f64` loop
-/// recomputes the true residual and repeats until the full `f64` target
-/// `‖r‖₂ ≤ max(rtol·‖b‖₂, atol)` holds. Roughly halves the memory
-/// bandwidth of the inner iterations, which dominate large solves, while
-/// delivering the same final accuracy as [`solve_cg`].
-///
-/// The computation is sequential and fixed-order, so results are
-/// bit-identical across runs and `OFTEC_THREADS` settings (though not
-/// bitwise equal to the pure-f64 path — callers gate it behind a config
-/// flag for that reason).
-///
-/// `IterativeSummary::iterations` counts inner f32 iterations summed over
-/// all refinement passes.
-///
-/// # Errors
-///
-/// - [`LinalgError::NotSquare`] / [`LinalgError::DimensionMismatch`] on
-///   shape disagreement.
-/// - [`LinalgError::NonFinite`] if `b` contains NaN/inf.
-/// - [`LinalgError::Breakdown`] when a refinement pass fails to shrink
-///   the f64 residual — for the thermal matrices this is the
-///   indefiniteness (runaway) signal, mirroring CG's negative-curvature
-///   breakdown.
-/// - [`LinalgError::NotConverged`] if the refinement budget is exhausted
-///   while the residual is still (slowly) improving.
-#[must_use = "the solve outcome (including failure) is in the Result"]
-pub fn solve_cg_mixed(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    params: &IterativeParams,
-) -> Result<IterativeSummary, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::NotSquare(a.rows(), a.cols()));
-    }
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch(n, b.len()));
-    }
-    if b.iter().any(|v| !v.is_finite()) {
-        return Err(LinalgError::NonFinite("mixed-precision CG right-hand side"));
-    }
-    let mut x = match x0 {
-        Some(x0) => {
-            if x0.len() != n {
-                return Err(LinalgError::DimensionMismatch(n, x0.len()));
-            }
-            x0.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-
-    let collecting = telemetry::collecting();
-    let _span = telemetry::span("cg.mixed_solve");
-    telemetry::counter_add("cg.mixed_solves", 1);
-
-    let shadow = CsrF32::from_csr(a);
-    let target = target_residual(b, params);
-    // f32 carries ~7 significant digits; pushing the inner solve past
-    // that wastes iterations on noise.
-    let inner_rtol = 1e-4f32;
-    let inner_cap = params.max_iter.max(1);
-    // Each converged inner pass gains ~4 digits, so even a 1e-12-tight
-    // target needs only a handful of passes; 60 is a generous ceiling.
-    let max_refine = 60;
-
-    let mut ax = vec![0.0; n];
-    a.matvec_into(&x, &mut ax);
-    let mut r = vector::sub(b, &ax);
-    let mut rnorm = vector::norm2(&r);
-    let mut residual_trace = Vec::new();
-    if collecting {
-        residual_trace.push(rnorm);
-    }
-    let mut total_inner = 0usize;
-    let mut r32 = vec![0.0f32; n];
-    for _pass in 0..max_refine {
-        if rnorm <= target {
-            telemetry::histogram_record("cg.mixed_iterations", ITER_BOUNDS, total_inner as u64);
-            return Ok(IterativeSummary {
-                x,
-                iterations: total_inner,
-                residual: rnorm,
-                residual_trace,
-            });
-        }
-        // Scale the residual to O(1) before the f32 cast so corrections
-        // stay inside f32's exponent range even near convergence.
-        let scale = rnorm;
-        for i in 0..n {
-            r32[i] = (r[i] / scale) as f32;
-        }
-        let (d32, inner) = cg_f32(&shadow, &r32, inner_rtol, inner_cap);
-        total_inner += inner;
-        for i in 0..n {
-            x[i] += scale * d32[i] as f64;
-        }
-        a.matvec_into(&x, &mut ax);
-        r = vector::sub(b, &ax);
-        let new_norm = vector::norm2(&r);
-        if collecting {
-            residual_trace.push(new_norm);
-        }
-        if !new_norm.is_finite() || new_norm >= rnorm {
-            // No progress in a full refinement pass: the matrix is
-            // (numerically) indefinite or too ill-conditioned for the
-            // f32 inner solve.
-            return Err(LinalgError::Breakdown("mixed-precision refinement stalled"));
-        }
-        rnorm = new_norm;
-    }
-    Err(LinalgError::NotConverged {
-        iterations: total_inner,
-        residual: rnorm,
-    })
-}
-
 /// Solves `A·x = b` with preconditioned BiCGSTAB, which tolerates the
 /// nonsymmetric matrices produced by the Peltier/leakage diagonal folding.
 ///
@@ -695,70 +478,6 @@ mod tests {
         let quiet = solve_cg(&a, &b, None, &m, &IterativeParams::default()).unwrap();
         assert!(quiet.residual_trace.is_empty());
         oftec_telemetry::set_collecting(true);
-    }
-
-    #[test]
-    fn mixed_precision_matches_f64_cg_accuracy() {
-        let a = laplacian_2d(12);
-        let b: Vec<f64> = (0..a.rows())
-            .map(|i| 1.0 + (i as f64 * 0.13).sin())
-            .collect();
-        let params = IterativeParams::default();
-        let sol = solve_cg_mixed(&a, &b, None, &params).unwrap();
-        check_residual(&a, &b, &sol.x, 1e-9);
-        assert!(sol.iterations > 0);
-        let m = JacobiPreconditioner::new(&a).unwrap();
-        let full = solve_cg(&a, &b, None, &m, &params).unwrap();
-        let diff = vector::sub(&full.x, &sol.x);
-        assert!(vector::norm2(&diff) < 1e-7, "diff {}", vector::norm2(&diff));
-    }
-
-    #[test]
-    fn mixed_precision_is_deterministic() {
-        let a = laplacian_2d(9);
-        let b = vec![0.7; a.rows()];
-        let params = IterativeParams::default();
-        let s1 = solve_cg_mixed(&a, &b, None, &params).unwrap();
-        let s2 = solve_cg_mixed(&a, &b, None, &params).unwrap();
-        for (x1, x2) in s1.x.iter().zip(&s2.x) {
-            assert_eq!(x1.to_bits(), x2.to_bits());
-        }
-    }
-
-    #[test]
-    fn mixed_precision_warm_start_converges_immediately() {
-        let a = laplacian_2d(6);
-        let b = vec![1.0; a.rows()];
-        let params = IterativeParams::default();
-        let sol = solve_cg_mixed(&a, &b, None, &params).unwrap();
-        let warm = solve_cg_mixed(&a, &b, Some(&sol.x), &params).unwrap();
-        assert_eq!(warm.iterations, 0);
-    }
-
-    #[test]
-    fn mixed_precision_breaks_down_on_indefinite() {
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, -1.0);
-        let a = t.to_csr();
-        let err = solve_cg_mixed(&a, &[1.0, 1.0], None, &IterativeParams::default()).unwrap_err();
-        assert!(matches!(err, LinalgError::Breakdown(_)));
-    }
-
-    #[test]
-    fn mixed_precision_rejects_bad_input() {
-        let a = laplacian_2d(3);
-        let params = IterativeParams::default();
-        assert!(matches!(
-            solve_cg_mixed(&a, &[1.0; 4], None, &params),
-            Err(LinalgError::DimensionMismatch(_, _))
-        ));
-        let mut b = vec![1.0; a.rows()];
-        b[0] = f64::NAN;
-        assert!(matches!(
-            solve_cg_mixed(&a, &b, None, &params),
-            Err(LinalgError::NonFinite(_))
-        ));
     }
 
     #[test]

@@ -42,18 +42,16 @@ mod fallback;
 mod iterative;
 mod lu;
 mod precond;
-mod sell;
 mod sparse;
 
 pub use cholesky::CholeskyFactor;
 pub use dense::{vector, Matrix};
-pub use eigen::{largest_eigenvalue, smallest_eigenvalue, sym_eigen, EigenParams};
+pub use eigen::{smallest_eigenvalue, sym_eigen, EigenParams};
 pub use error::LinalgError;
 pub use fallback::{solve_dense_chain, DenseMethod, DenseSolve};
-pub use iterative::{solve_bicgstab, solve_cg, solve_cg_mixed, IterativeParams, IterativeSummary};
+pub use iterative::{solve_bicgstab, solve_cg, IterativeParams, IterativeSummary};
 pub use lu::LuFactor;
 pub use precond::{
     IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
 };
-pub use sell::SellMatrix;
 pub use sparse::{CsrMatrix, Triplets};

@@ -125,11 +125,7 @@ pub const RULES: &[Rule] = &[
         id: "L012",
         title: "lossy numeric `as` cast on a solver path",
         rationale: "Narrowing casts (`f64→f32`, `usize→u32`) silently lose \
-                    precision or truncate; solver-path numerics stay f64/usize \
-                    except in the sanctioned mixed-precision module \
-                    (`crates/linalg/src/iterative.rs`), where the f32 \
-                    preconditioner's error is certified by the iterative \
-                    refinement loop around it.",
+                    precision or truncate; solver-path numerics stay f64/usize.",
         kinds: &[Lib],
         crates: Only(&["linalg", "optim", "thermal", "core", "power"]),
         counter: "lint.findings.L012",

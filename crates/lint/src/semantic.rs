@@ -22,10 +22,6 @@ use crate::engine::{Finding, Status};
 use crate::resolve::{self, FileSymbols};
 use crate::rules::{self, FileKind};
 
-/// The mixed-precision module sanctioned to narrow `f64` deliberately
-/// (L012 does not apply there).
-pub const SANCTIONED_MIXED_PRECISION: &str = "crates/linalg/src/iterative.rs";
-
 fn finding(rule: &'static str, file: &str, line: u32, col: u32, message: String) -> Finding {
     Finding {
         rule,
@@ -88,7 +84,7 @@ pub fn file_findings(
         }
     }
 
-    if rule_applies("L012", krate, kind) && rel != SANCTIONED_MIXED_PRECISION {
+    if rule_applies("L012", krate, kind) {
         for s in summaries.iter().filter(|s| !s.is_test) {
             for c in &s.casts {
                 out.push(finding(
@@ -97,8 +93,7 @@ pub fn file_findings(
                     c.line,
                     c.col,
                     format!(
-                        "lossy numeric cast `as {}` on a solver path; keep f64/usize precision, \
-                         use the sanctioned mixed-precision module ({SANCTIONED_MIXED_PRECISION}), \
+                        "lossy numeric cast `as {}` on a solver path; keep f64/usize precision \
                          or add a reasoned allow",
                         c.ty
                     ),

@@ -25,9 +25,6 @@
 //!   --addr <host:port>         listen address (default 127.0.0.1:7464)
 //!   --threads <n>              executor threads (default: OFTEC_THREADS)
 //!   --cache-capacity <n>       result-cache entries (default 1024)
-//!   --cache-ttl-ms <ms>        result-cache TTL (default: none)
-//!   --cache-shards <n>         result-cache lock shards (default 8,
-//!                              rounded up to a power of two)
 //!   --conn-workers <n>         shard workers multiplexing connections
 //!                              (default 0: auto, up to 4)
 //!   --max-inflight <n>         pipelined requests per connection before
@@ -54,7 +51,6 @@ use oftec_serve::{ServeConfig, Server};
 use oftec_thermal::OperatingPoint;
 use oftec_units::{AngularVelocity, Current};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -164,14 +160,6 @@ fn parse_serve_config(
             "--cache-capacity" => {
                 config.cache.capacity =
                     parse_num("--cache-capacity", value("--cache-capacity")?)? as usize;
-            }
-            "--cache-ttl-ms" => {
-                let ms = parse_num("--cache-ttl-ms", value("--cache-ttl-ms")?)?;
-                config.cache.ttl = Some(Duration::from_millis(ms));
-            }
-            "--cache-shards" => {
-                config.cache.shards =
-                    (parse_num("--cache-shards", value("--cache-shards")?)? as usize).max(1);
             }
             "--conn-workers" => {
                 config.conn_workers =

@@ -7,70 +7,63 @@
 //! serialized result payloads verbatim — a hit replays the exact bytes
 //! of the original response, keeping repeats bit-identical.
 //!
-//! Eviction is capacity-LRU with optional TTL, implemented with a lazy
-//! recency queue: each touch appends a `(seq, key)` marker and only the
-//! newest marker per key is live, so `get`/`insert` stay O(1) amortized
-//! without an intrusive list. Hit/miss/eviction/expiry counts feed the
-//! telemetry registry.
-//!
-//! The store is **sharded**: keys hash (deterministically — no per-process
-//! randomness, so shard placement is reproducible) onto one of
-//! [`CacheConfig::shards`] independent LRU partitions, each behind its own
-//! lock. Connections on different shard workers stop contending on one
-//! global mutex; LRU order becomes per-shard (approximate global LRU),
-//! which changes nothing about hit payloads — only which entry is evicted
-//! under capacity pressure.
+//! A payload is a pure function of its key for the server's lifetime
+//! (the package and controller settings are fixed at bind), so entries
+//! never go stale and eviction is by capacity alone: exact LRU over one
+//! store behind one lock, implemented with a lazy recency queue. Each
+//! touch appends a `(seq, key)` marker and only the newest marker per key
+//! is live, so `get`/`insert` stay O(1) amortized without an intrusive
+//! list. Hit/miss/eviction counts feed the telemetry registry.
 
 use crate::protocol::{SolveKind, SolveSpec};
 use oftec_power::Benchmark;
 use oftec_telemetry::Counter;
 use std::collections::{BTreeMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 pub static CACHE_HITS: Counter = Counter::new("serve.cache.hits");
 pub static CACHE_MISSES: Counter = Counter::new("serve.cache.misses");
 pub static CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
-pub static CACHE_EXPIRED: Counter = Counter::new("serve.cache.expired");
 
 /// Quantization grids and eviction limits.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Maximum live entries (summed across shards); 0 disables the cache
-    /// entirely.
+    /// Maximum live entries; 0 disables the cache entirely.
     pub capacity: usize,
-    /// Entry lifetime; `None` = never expires.
-    pub ttl: Option<Duration>,
     /// Fan-speed grid pitch in RPM.
     pub rpm_grid: f64,
     /// TEC-current grid pitch in amperes.
     pub amps_grid: f64,
     /// Workload-scale grid pitch.
     pub scale_grid: f64,
-    /// Lock shards; rounded up to a power of two, minimum 1. With 1 shard
-    /// eviction is exact global LRU; with more it is per-shard LRU.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
             capacity: 1024,
-            ttl: None,
             rpm_grid: 1.0,
             amps_grid: 0.01,
             scale_grid: 1e-3,
-            shards: 8,
         }
     }
 }
 
-fn quantize(v: f64, grid: f64) -> i64 {
+/// Index of the grid cell holding `v` (its raw bits when `grid` is 0).
+pub(crate) fn quantize(v: f64, grid: f64) -> i64 {
     if grid > 0.0 {
         (v / grid).round() as i64
     } else {
         v.to_bits() as i64
+    }
+}
+
+/// The canonical value of grid cell `q`, inverse to [`quantize`].
+pub(crate) fn dequantize(q: i64, grid: f64) -> f64 {
+    if grid > 0.0 {
+        q as f64 * grid
+    } else {
+        f64::from_bits(q as u64)
     }
 }
 
@@ -105,35 +98,22 @@ impl CacheKey {
     /// makes every request that maps to this key receive bit-identical
     /// results whether it hit the cache or triggered the solve.
     pub fn canonical_scale(&self, cfg: &CacheConfig) -> f64 {
-        if cfg.scale_grid > 0.0 {
-            self.scale_q as f64 * cfg.scale_grid
-        } else {
-            f64::from_bits(self.scale_q as u64)
-        }
+        dequantize(self.scale_q, cfg.scale_grid)
     }
 
     /// Canonical fan speed in RPM (see [`CacheKey::canonical_scale`]).
     pub fn canonical_rpm(&self, cfg: &CacheConfig) -> f64 {
-        if cfg.rpm_grid > 0.0 {
-            self.rpm_q as f64 * cfg.rpm_grid
-        } else {
-            f64::from_bits(self.rpm_q as u64)
-        }
+        dequantize(self.rpm_q, cfg.rpm_grid)
     }
 
     /// Canonical TEC current in amperes.
     pub fn canonical_amps(&self, cfg: &CacheConfig) -> f64 {
-        if cfg.amps_grid > 0.0 {
-            self.amps_q as f64 * cfg.amps_grid
-        } else {
-            f64::from_bits(self.amps_q as u64)
-        }
+        dequantize(self.amps_q, cfg.amps_grid)
     }
 }
 
 struct Entry {
     payload: String,
-    inserted: Instant,
     /// Sequence number of this key's newest recency marker.
     touched: u64,
 }
@@ -153,31 +133,18 @@ struct Inner {
 /// panicking accessor).
 pub struct QuantizedCache {
     cfg: CacheConfig,
-    /// Power-of-two shard count minus one, for masking the key hash.
-    shard_mask: usize,
-    /// Per-entry capacity of each shard (total capacity split evenly).
-    shard_capacity: usize,
-    shards: Box<[Mutex<Inner>]>,
+    store: Mutex<Inner>,
 }
 
 impl QuantizedCache {
     pub fn new(cfg: CacheConfig) -> Self {
-        let nshards = cfg.shards.max(1).next_power_of_two();
-        let shards = (0..nshards)
-            .map(|_| {
-                Mutex::new(Inner {
-                    map: BTreeMap::new(),
-                    order: VecDeque::new(),
-                    seq: 0,
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            shard_mask: nshards - 1,
-            shard_capacity: cfg.capacity.div_ceil(nshards),
             cfg,
-            shards,
+            store: Mutex::new(Inner {
+                map: BTreeMap::new(),
+                order: VecDeque::new(),
+                seq: 0,
+            }),
         }
     }
 
@@ -190,20 +157,8 @@ impl QuantizedCache {
         CacheKey::for_spec(spec, &self.cfg)
     }
 
-    /// Which shard a key lives on. `DefaultHasher::new()` uses fixed keys,
-    /// so placement is identical across processes and runs — required for
-    /// the serve determinism contract (eviction patterns, and therefore
-    /// hit/miss sequences under capacity pressure, must not depend on
-    /// process-random hash seeds).
-    // oftec-lint: hot
-    fn shard_of(&self, key: &CacheKey) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & self.shard_mask
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit. Expired entries
-    /// count as misses (and are removed). Returns the payload JSON.
+    /// Looks `key` up, refreshing its recency on a hit. Returns the
+    /// payload JSON.
     pub fn get(&self, key: &CacheKey) -> Option<String> {
         self.lookup(key, true)
     }
@@ -222,37 +177,18 @@ impl QuantizedCache {
             }
             return None;
         }
-        let mut inner = self.shards[self.shard_of(key)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let expired = match inner.map.get(key) {
-            None => {
-                if count {
-                    CACHE_MISSES.add(1);
-                }
-                return None;
-            }
-            Some(e) => self.cfg.ttl.is_some_and(|ttl| e.inserted.elapsed() >= ttl),
-        };
-        if expired {
-            inner.map.remove(key);
-            CACHE_EXPIRED.add(1);
+        let mut inner = self.store.lock().unwrap_or_else(PoisonError::into_inner);
+        let seq = inner.seq;
+        let Some(entry) = inner.map.get_mut(key) else {
             if count {
                 CACHE_MISSES.add(1);
             }
             return None;
-        }
-        let seq = inner.seq;
+        };
+        entry.touched = seq;
+        let payload = entry.payload.clone();
         inner.seq += 1;
         inner.order.push_back((seq, *key));
-        // Present: checked above, under the same lock.
-        let payload = match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.touched = seq;
-                entry.payload.clone()
-            }
-            None => return None,
-        };
         if count {
             CACHE_HITS.add(1);
         }
@@ -266,9 +202,7 @@ impl QuantizedCache {
         if self.cfg.capacity == 0 {
             return;
         }
-        let mut inner = self.shards[self.shard_of(&key)]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.store.lock().unwrap_or_else(PoisonError::into_inner);
         let seq = inner.seq;
         inner.seq += 1;
         inner.order.push_back((seq, key));
@@ -276,11 +210,10 @@ impl QuantizedCache {
             key,
             Entry {
                 payload,
-                inserted: Instant::now(),
                 touched: seq,
             },
         );
-        while inner.map.len() > self.shard_capacity {
+        while inner.map.len() > self.cfg.capacity {
             match inner.order.pop_front() {
                 Some((marker_seq, old_key)) => {
                     // Only a key's newest marker is live; skip stale ones.
@@ -299,13 +232,13 @@ impl QuantizedCache {
         Self::maybe_compact(&mut inner);
     }
 
-    /// Live entry count (expired-but-unvisited entries included), summed
-    /// across shards.
+    /// Live entry count.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
+        self.store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -349,20 +282,16 @@ mod tests {
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Single-shard cache: exact global LRU, so eviction-order tests stay
-    /// deterministic regardless of key-to-shard placement.
-    fn cache(capacity: usize, ttl: Option<Duration>) -> QuantizedCache {
+    fn cache(capacity: usize) -> QuantizedCache {
         QuantizedCache::new(CacheConfig {
             capacity,
-            ttl,
-            shards: 1,
             ..CacheConfig::default()
         })
     }
 
     #[test]
     fn quantization_collides_nearby_points() {
-        let c = cache(8, None);
+        let c = cache(8);
         // Sub-grid perturbations share a key...
         assert_eq!(
             c.key_for(&spec(3000.2, 1.5)),
@@ -388,7 +317,7 @@ mod tests {
     #[test]
     fn hit_returns_exact_payload() {
         let _serial = counter_lock();
-        let c = cache(8, None);
+        let c = cache(8);
         let k = c.key_for(&spec(3000.0, 1.5));
         assert_eq!(c.get(&k), None);
         c.insert(k, "{\"t\":42.5}".into());
@@ -399,21 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn ttl_zero_expires_deterministically() {
-        let _serial = counter_lock();
-        let c = cache(8, Some(Duration::ZERO));
-        let k = c.key_for(&spec(3000.0, 1.5));
-        c.insert(k, "x".into());
-        let before = CACHE_EXPIRED.get();
-        assert_eq!(c.get(&k), None, "zero TTL must expire instantly");
-        assert_eq!(CACHE_EXPIRED.get(), before + 1);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn evicts_in_lru_order() {
         let _serial = counter_lock();
-        let c = cache(2, None);
+        let c = cache(2);
         let (ka, kb, kc) = (
             c.key_for(&spec(1000.0, 0.0)),
             c.key_for(&spec(2000.0, 0.0)),
@@ -435,7 +352,7 @@ mod tests {
     #[test]
     fn counters_track_hits_and_misses() {
         let _serial = counter_lock();
-        let c = cache(8, None);
+        let c = cache(8);
         let k = c.key_for(&spec(4000.0, 2.0));
         let (h0, m0) = (CACHE_HITS.get(), CACHE_MISSES.get());
         c.get(&k);
@@ -449,7 +366,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let _serial = counter_lock();
-        let c = cache(0, None);
+        let c = cache(0);
         let k = c.key_for(&spec(3000.0, 1.5));
         c.insert(k, "v".into());
         assert_eq!(c.get(&k), None);
@@ -459,72 +376,17 @@ mod tests {
     #[test]
     fn recency_queue_compacts_under_churn() {
         let _serial = counter_lock();
-        let c = cache(2, None);
+        let c = cache(2);
         let k = c.key_for(&spec(1000.0, 0.0));
         c.insert(k, "v".into());
         for _ in 0..1000 {
             c.get(&k);
         }
-        for shard in c.shards.iter() {
-            let inner = shard.lock().unwrap();
-            assert!(
-                inner.order.len() <= 2 * inner.map.len() + 17,
-                "recency queue must stay bounded, got {}",
-                inner.order.len()
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_cache_behaves_like_one_store() {
-        let _serial = counter_lock();
-        let c = QuantizedCache::new(CacheConfig {
-            capacity: 256,
-            shards: 8,
-            ..CacheConfig::default()
-        });
-        assert_eq!(c.shards.len(), 8);
-        assert_eq!(c.shard_capacity, 32);
-        // Every key round-trips through whichever shard it hashed to.
-        for i in 0..64 {
-            let k = c.key_for(&spec(1000.0 + 10.0 * f64::from(i), 0.5));
-            c.insert(k, format!("p{i}"));
-        }
-        for i in 0..64 {
-            let k = c.key_for(&spec(1000.0 + 10.0 * f64::from(i), 0.5));
-            assert_eq!(c.get(&k).as_deref(), Some(format!("p{i}").as_str()));
-        }
-        assert_eq!(c.len(), 64);
-        // Keys actually spread over more than one shard.
-        let occupied = c
-            .shards
-            .iter()
-            .filter(|s| !s.lock().unwrap().map.is_empty())
-            .count();
-        assert!(occupied > 1, "64 keys landed on {occupied} shard(s)");
-    }
-
-    #[test]
-    fn shard_placement_is_deterministic_across_instances() {
-        let a = QuantizedCache::new(CacheConfig::default());
-        let b = QuantizedCache::new(CacheConfig::default());
-        for i in 0..32 {
-            let k = a.key_for(&spec(2000.0 + 7.0 * f64::from(i), 1.0));
-            assert_eq!(a.shard_of(&k), b.shard_of(&k));
-        }
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let c = QuantizedCache::new(CacheConfig {
-            shards: 5,
-            ..CacheConfig::default()
-        });
-        assert_eq!(c.shards.len(), 8);
-        let c1 = QuantizedCache::new(CacheConfig {
-            shards: 0,
-            ..CacheConfig::default()
-        });
-        assert_eq!(c1.shards.len(), 1);
+        let inner = c.store.lock().unwrap();
+        assert!(
+            inner.order.len() <= 2 * inner.map.len() + 17,
+            "recency queue must stay bounded, got {}",
+            inner.order.len()
+        );
     }
 }

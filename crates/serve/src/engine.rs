@@ -12,8 +12,11 @@
 //! through the reduced-order model, so a batched response is
 //! bit-identical to [`reference_payload`] at the same grid point, at any
 //! `OFTEC_THREADS`, and whether or not the result came from cache.
+//! `no_cache` requests keep their raw rpm and amps but are solved, and
+//! reported, at the canonical scale too: the shared system for a scale
+//! cell exists only at that scale.
 
-use crate::cache::QuantizedCache;
+use crate::cache::{dequantize, quantize, QuantizedCache};
 use crate::protocol::{error_cause, ErrBody, SolveKind, SolveSpec};
 use crate::queue::Job;
 use oftec::faults::{FaultKind, FaultyModel};
@@ -54,7 +57,9 @@ pub struct FaultPlan {
 
 /// Lazily built, shared [`CoolingSystem`]s keyed by benchmark and
 /// quantized scale; building one costs floorplan + leakage assembly, so
-/// every request for the same workload reuses the same instance.
+/// every request for the same workload reuses the same instance. Each is
+/// built at its cell's canonical scale, never at the raw scale of the
+/// request that happened to arrive first.
 struct SystemRegistry {
     package: PackageConfig,
     scale_grid: f64,
@@ -63,17 +68,14 @@ struct SystemRegistry {
 
 impl SystemRegistry {
     fn system(&self, benchmark: oftec_power::Benchmark, scale: f64) -> Arc<CoolingSystem> {
-        let q = if self.scale_grid > 0.0 {
-            (scale / self.scale_grid).round() as i64
-        } else {
-            scale.to_bits() as i64
-        };
+        let q = quantize(scale, self.scale_grid);
         let mut map = self.systems.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry((benchmark, q)).or_insert_with(|| {
+            let scale = dequantize(q, self.scale_grid);
             let base = CoolingSystem::for_benchmark_with_config(benchmark, &self.package);
             #[expect(
                 clippy::float_cmp,
-                reason = "exact sentinel: 1.0 round-trips the wire untouched, so bit-equality is the identity test"
+                reason = "exact sentinel: the unit-scale cell dequantizes to exactly 1.0, so bit-equality is the identity test"
             )]
             let system = if scale == 1.0 {
                 base
@@ -277,9 +279,10 @@ impl Engine {
         let now = Instant::now();
 
         // Group jobs into unique work items. `no_cache` jobs always get
-        // their own item (they demand a fresh solve); cacheable jobs
-        // dedup on the quantized key and re-check the cache, which a
-        // previous batch may have filled after this job's admission.
+        // their own item (they demand a fresh solve at their raw rpm and
+        // amps); cacheable jobs dedup on the quantized key and re-check
+        // the cache, which a previous batch may have filled after this
+        // job's admission.
         let mut items: Vec<WorkItem> = Vec::with_capacity(batch.len());
         let mut groups: Vec<Vec<Job>> = Vec::with_capacity(batch.len());
         let mut by_key: BTreeMap<crate::cache::CacheKey, usize> = BTreeMap::new();
@@ -295,16 +298,19 @@ impl Engine {
                 let _ = job.reply.send((Err(err), trace));
                 continue;
             }
+            let cfg = self.cache.config();
+            let key = self.cache.key_for(&job.spec);
             if job.spec.no_cache {
+                let mut spec = job.spec.clone();
+                spec.scale = key.canonical_scale(cfg);
                 items.push(WorkItem {
-                    spec: job.spec.clone(),
+                    spec,
                     deadline: job.deadline,
                     inject: self.draw_fault(),
                 });
                 groups.push(vec![job]);
                 continue;
             }
-            let key = self.cache.key_for(&job.spec);
             if let Some(payload) = self.cache.peek(&key) {
                 // A previous batch filled the cache after this job's
                 // admission — a hit on the dispatcher thread.
@@ -327,7 +333,6 @@ impl Engine {
                     groups[gi].push(job);
                 }
                 None => {
-                    let cfg = self.cache.config();
                     let mut spec = job.spec.clone();
                     spec.scale = key.canonical_scale(cfg);
                     spec.rpm = key.canonical_rpm(cfg);

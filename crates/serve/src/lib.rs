@@ -13,7 +13,7 @@
 //!   [`queue::BATCH_MAX`]) on the `oftec-parallel` scoped-thread
 //!   executor, with per-request panic isolation.
 //! - **Quantized result cache** ([`cache`]): operating points rounded to
-//!   a configurable grid, LRU + TTL eviction, hit/miss/eviction counters
+//!   a configurable grid, exact LRU eviction, hit/miss/eviction counters
 //!   on the telemetry registry. Hits replay byte-identical payloads on
 //!   the connection thread, bypassing the queue entirely.
 //! - **Admission control** ([`server`], [`queue`]): a bounded queue with

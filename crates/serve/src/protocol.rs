@@ -77,7 +77,10 @@ pub struct SolveSpec {
     pub omega_points: usize,
     /// Sweep resolution along I (`sweep` only; 0 otherwise).
     pub current_points: usize,
-    /// Skip the result cache for this request (read and write).
+    /// Skip the result cache for this request (read and write). The
+    /// scale is still snapped to `CacheConfig::scale_grid`: the request is
+    /// solved at, and reports, the canonical scale of its cache cell, while
+    /// `rpm` and `amps` stay raw.
     pub no_cache: bool,
     /// Per-request deadline budget in milliseconds.
     pub deadline_ms: Option<u64>,

@@ -496,7 +496,6 @@ fn authoritative_snapshot() -> telemetry::Snapshot {
         &crate::cache::CACHE_HITS,
         &crate::cache::CACHE_MISSES,
         &crate::cache::CACHE_EVICTIONS,
-        &crate::cache::CACHE_EXPIRED,
     ] {
         snap.counters.insert(c.name(), c.get());
     }

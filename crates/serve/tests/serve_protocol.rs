@@ -6,7 +6,9 @@ mod common;
 
 use common::*;
 use oftec_power::Benchmark;
-use oftec_serve::{protocol, reference_payload, ServeConfig, SolveKind, SolveSpec};
+use oftec_serve::{
+    protocol, reference_payload, CacheConfig, CacheKey, ServeConfig, SolveKind, SolveSpec,
+};
 use oftec_thermal::PackageConfig;
 use std::time::Duration;
 
@@ -160,6 +162,36 @@ fn thread_count_does_not_change_responses() {
         out
     };
     assert_eq!(run(1), run(4), "payloads must not depend on OFTEC_THREADS");
+}
+
+#[test]
+fn request_order_does_not_change_answers_within_a_scale_cell() {
+    // 1.2004 and 1.2 share one quantized scale cell. The server keeps one
+    // system per cell, so whichever request arrives first must not decide
+    // the scale the other one is solved at: both answer at the cell's
+    // canonical scale, exactly as the direct solve there.
+    let no_cache = r#"{"cmd":"steady","id":1,"benchmark":"qsort","scale":1.2004,"rpm":3000,"amps":1,"no_cache":true}"#;
+    let cached = r#"{"cmd":"steady","id":2,"benchmark":"qsort","scale":1.2,"rpm":3000,"amps":1}"#;
+    let cfg = CacheConfig::default();
+    let mut spec = steady_spec(3000.0, 1.0, false);
+    spec.scale = 1.2;
+    spec.scale = CacheKey::for_spec(&spec, &cfg).canonical_scale(&cfg);
+    let expected =
+        reference_payload(&PackageConfig::dac14_coarse(), &spec, None).expect("reference solve");
+    for order in [[no_cache, cached], [cached, no_cache]] {
+        let server = TestServer::start(test_config());
+        let mut conn = Conn::open(server.addr);
+        for line in order {
+            let resp = conn.request(line);
+            assert!(is_ok(&resp), "{line} must solve: {resp}");
+            assert_eq!(
+                result_json(&resp),
+                expected,
+                "{line} (sent in order {order:?}) must answer at the canonical scale"
+            );
+        }
+        server.stop();
+    }
 }
 
 #[test]

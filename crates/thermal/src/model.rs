@@ -615,18 +615,6 @@ impl HybridCoolingModel {
         op: OperatingPoint,
         warm_start: Option<&[f64]>,
     ) -> Result<ThermalSolution, ThermalError> {
-        let (matrix, rhs) = self.assemble_steady_system(op)?;
-        let diag = self.skeleton.diagonal_of(&matrix);
-        self.finish_steady_solve(op, &matrix, &rhs, &diag, &self.cell_leak, warm_start, true)
-    }
-
-    /// Assembles the fully folded steady system (fan + TEC + fused chip
-    /// constants) at `op` without solving it. The reduced-order build uses
-    /// this for its snapshot systems.
-    pub(crate) fn assemble_steady_system(
-        &self,
-        op: OperatingPoint,
-    ) -> Result<(CsrMatrix, Vec<f64>), ThermalError> {
         let fan_g = self.config.fan.conductance(op.fan_speed).w_per_k();
         if !fan_g.is_finite() || fan_g < 0.0 {
             return Err(ThermalError::NonFinite(format!(
@@ -636,7 +624,8 @@ impl HybridCoolingModel {
         }
         let (mut matrix, mut rhs) = self.skeleton.assemble_steady(fan_g);
         self.fold_tec_in_place(matrix.values_mut(), &mut rhs, op.tec_current.amperes());
-        Ok((matrix, rhs))
+        let diag = self.skeleton.diagonal_of(&matrix);
+        self.finish_steady_solve(op, &matrix, &rhs, &diag, &self.cell_leak, warm_start, true)
     }
 
     /// The TEC folding bookkeeping, if this model has TECs.

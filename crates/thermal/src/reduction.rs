@@ -22,8 +22,8 @@
 //!    matrices, one dense Cholesky solve, reconstruct `T̂ = V·y`.
 //!
 //! Every accepted reduced solution is certified against the **full**
-//! operator: the residual `‖(A + D(θ))T̂ − b(θ)‖₂` (computed with the
-//! SELL-layout SpMV) must stay below
+//! operator: the residual `‖(A + D(θ))T̂ − b(θ)‖₂` (one CSR SpMV with
+//! the skeleton's steady matrix) must stay below
 //! [`ReductionOptions::residual_rtol`]`·‖b(θ)‖₂`, and the temperatures
 //! must pass the same physical screens as the full path. Any violation —
 //! residual, indefiniteness of the projected system, unphysical or
@@ -42,10 +42,7 @@ use crate::model::{HybridCoolingModel, OperatingPoint};
 use crate::solution::ThermalSolution;
 use crate::traits::CoolingModel;
 use crate::transient::{TransientOptions, TransientTrace};
-use oftec_linalg::{
-    solve_cg_mixed, sym_eigen, vector, CholeskyFactor, EigenParams, IterativeParams, Matrix,
-    SellMatrix,
-};
+use oftec_linalg::{sym_eigen, vector, CholeskyFactor, CsrMatrix, EigenParams, Matrix};
 use oftec_telemetry as telemetry;
 use oftec_units::{AngularVelocity, Current};
 
@@ -65,9 +62,6 @@ pub struct ReductionOptions {
     /// Accept threshold for the full-operator residual check:
     /// `‖r‖₂ ≤ residual_rtol·‖b(θ)‖₂`.
     pub residual_rtol: f64,
-    /// Solve the snapshot systems with the mixed-precision f32 CG +
-    /// f64 refinement kernel instead of the default f64 ILU(0)-CG.
-    pub mixed_precision: bool,
 }
 
 impl Default for ReductionOptions {
@@ -82,7 +76,6 @@ impl Default for ReductionOptions {
             // 0.1 K budget — while keeping the fallback rate at zero
             // across the feasible operating rectangle.
             residual_rtol: 1e-4,
-            mixed_precision: false,
         }
     }
 }
@@ -110,8 +103,8 @@ pub struct ReducedModel {
     c_fan: Vec<f64>,
     /// `Vᵀ(R per generation node)` (scaled by `I²`).
     c_joule: Vec<f64>,
-    /// Steady matrix `A₀` in SELL layout for the residual SpMV.
-    a_steady: SellMatrix,
+    /// Steady matrix `A₀` for the residual SpMV.
+    a_steady: CsrMatrix,
     /// Steady RHS `b₀`.
     b_steady: Vec<f64>,
     /// Diagonal of `A₀` for the per-point positivity screen.
@@ -324,8 +317,9 @@ impl HybridCoolingModel {
                     i_max * ci as f64 / (n_currents - 1) as f64
                 };
                 let op = OperatingPoint::new(omega, Current::from_amperes(amps));
-                match self.snapshot_solve(op, warm.as_deref(), options.mixed_precision) {
-                    Ok(temps) => {
+                match self.solve_default(op, warm.as_deref()) {
+                    Ok(sol) => {
+                        let temps = sol.node_temperatures().to_vec();
                         warm = Some(temps.clone());
                         snapshots.push(temps);
                     }
@@ -382,15 +376,14 @@ impl HybridCoolingModel {
         }
 
         // Steady full-operator data.
-        let (a0, b_steady) = self.skeleton().steady_parts();
-        let diag_steady = a0.diagonal();
+        let (a_steady, b_steady) = self.skeleton().steady_parts();
+        let diag_steady = a_steady.diagonal();
         if diag_steady.iter().any(|&d| d <= 0.0) {
             telemetry::counter_add("reduction.build_failures", 1);
             return Err(ThermalError::Config(
                 "steady network matrix has a non-positive diagonal".into(),
             ));
         }
-        let a_steady = SellMatrix::from_csr(&a0);
         let fan_nodes = self.skeleton().fan_couplings().to_vec();
         let t_amb = self.skeleton().ambient();
         let (mut tec_abs, mut tec_rej, mut joule) = (Vec::new(), Vec::new(), Vec::new());
@@ -479,38 +472,6 @@ impl HybridCoolingModel {
             options: *options,
             snapshots_used: s,
         })
-    }
-
-    /// One snapshot solve for the reduced-order build: the default fused
-    /// path, or the mixed-precision CG kernel when requested.
-    fn snapshot_solve(
-        &self,
-        op: OperatingPoint,
-        warm: Option<&[f64]>,
-        mixed: bool,
-    ) -> Result<Vec<f64>, ThermalError> {
-        if !mixed {
-            return Ok(self.solve_default(op, warm)?.node_temperatures().to_vec());
-        }
-        let (matrix, rhs) = self.assemble_steady_system(op)?;
-        if matrix.diagonal().iter().any(|&d| d <= 0.0) {
-            return Err(ThermalError::Runaway(
-                "non-positive diagonal in the folded network matrix",
-            ));
-        }
-        let params = IterativeParams {
-            rtol: 1e-10,
-            atol: 1e-12,
-            max_iter: 20 * self.node_count(),
-        };
-        let temps = solve_cg_mixed(&matrix, &rhs, warm, &params)
-            .map_err(ThermalError::from)?
-            .x;
-        let cap = self.config().runaway_cap.kelvin();
-        if temps.iter().any(|t| !t.is_finite()) || temps.iter().any(|&t| t > cap) {
-            return Err(ThermalError::Runaway("snapshot beyond the runaway cap"));
-        }
-        Ok(temps)
     }
 }
 
@@ -702,26 +663,6 @@ mod tests {
         assert_eq!(
             a.max_chip_temperature().kelvin(),
             b.max_chip_temperature().kelvin()
-        );
-    }
-
-    #[test]
-    fn mixed_precision_build_agrees_with_f64_build() {
-        let m = model();
-        let red64 = m.build_reduced(&ReductionOptions::default()).unwrap();
-        let red32 = m
-            .build_reduced(&ReductionOptions {
-                mixed_precision: true,
-                ..ReductionOptions::default()
-            })
-            .unwrap();
-        let w64 = ReducedCoolingModel::new(&m, Some(&red64));
-        let w32 = ReducedCoolingModel::new(&m, Some(&red32));
-        let o = op(3400.0, 1.2);
-        let a = w64.solve(o).unwrap();
-        let b = w32.solve(o).unwrap();
-        assert!(
-            (a.max_chip_temperature().kelvin() - b.max_chip_temperature().kelvin()).abs() < 0.05
         );
     }
 
