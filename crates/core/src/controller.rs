@@ -148,6 +148,10 @@ impl TransientBoost {
         let steady = model.solve(op)?;
         let boosted = OperatingPoint::new(op.fan_speed, op.tec_current + self.boost);
         let dt = 0.01;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ceil(duration / 10 ms) steps, at least 1; a float-to-int `as` saturates"
+        )]
         let steps = (self.duration_seconds / dt).ceil().max(1.0) as usize;
         let trace = model.simulate_transient(
             boosted,

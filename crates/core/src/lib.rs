@@ -1,3 +1,6 @@
+// A truncating `as` cast on a solver path needs a range proof: each one
+// carries `#[expect(clippy::cast_possible_truncation, reason = "...")]`.
+#![deny(clippy::cast_possible_truncation)]
 //! **OFTEC** — power-aware deployment and control of forced-convection
 //! and thermoelectric coolers.
 //!

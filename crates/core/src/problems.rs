@@ -100,16 +100,28 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
 
     /// Number of thermal solves performed so far (diagnostics; the paper
     /// reports solver runtimes that are dominated by these).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an evaluation count: lossless on 64-bit targets, and no run reaches 2^32"
+    )]
     pub fn thermal_solves(&self) -> usize {
         self.solves.get() as usize
     }
 
     /// Evaluations answered from the memo cache.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an evaluation count: lossless on 64-bit targets, and no run reaches 2^32"
+    )]
     pub fn cache_hits(&self) -> usize {
         self.hits.get() as usize
     }
 
     /// Evaluations that required a thermal solve.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an evaluation count: lossless on 64-bit targets, and no run reaches 2^32"
+    )]
     pub fn cache_misses(&self) -> usize {
         self.misses.get() as usize
     }

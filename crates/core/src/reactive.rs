@@ -265,6 +265,10 @@ pub fn run_closed_loop_on_model<M: CoolingModel, P: TecPolicy + ?Sized>(
     check_observed(observed, start_op)?;
 
     let dt = (window_seconds / 10.0).min(0.02);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "dt = min(window / 10, 20 ms), so steps is in [10, window / 20 ms]"
+    )]
     let steps = (window_seconds / dt).ceil() as usize;
     let opts = TransientOptions {
         dt_seconds: dt,
@@ -437,6 +441,10 @@ pub fn run_fan_loop_on_model<M: CoolingModel>(
     check_observed(observed, start_op)?;
 
     let dt = (window_seconds / 10.0).min(0.02);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "dt = min(window / 10, 20 ms), so steps is in [10, window / 20 ms]"
+    )]
     let steps = (window_seconds / dt).ceil() as usize;
     let opts = TransientOptions {
         dt_seconds: dt,

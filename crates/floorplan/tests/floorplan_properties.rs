@@ -1,7 +1,10 @@
-//! Property tests: random guillotine floorplans always validate, and grid
-//! rasterization conserves power at any resolution.
+//! Property tests: random guillotine floorplans always validate, grid
+//! rasterization conserves power at any resolution, and the `.flp` parser
+//! never panics on untrusted text.
 
-use oftec_floorplan::{Floorplan, FunctionalUnit, GridDims, GridMap, Rect};
+use oftec_floorplan::{
+    alpha21264, parse_flp, write_flp, Floorplan, FunctionalUnit, GridDims, GridMap, Rect,
+};
 use oftec_units::Length;
 use proptest::prelude::*;
 
@@ -104,5 +107,72 @@ proptest! {
         for (m, x) in means.iter().zip(&maxes) {
             prop_assert!(m <= &(x + 1e-9));
         }
+    }
+}
+
+/// Parses `text` and, when that succeeds, runs what a caller does next
+/// with an untrusted file. Any of them may reject it; none may panic.
+fn parse_untrusted(text: &str) {
+    if let Ok(fp) = parse_flp("fuzz", text) {
+        let _ = fp.validate();
+        let _ = fp.coverage();
+    }
+}
+
+/// Field values at the edges of what `parse_flp` accepts or rejects.
+const EXTREMES: [&str; 10] = [
+    "0",
+    "-0",
+    "5e-324",
+    "1e-3",
+    "1",
+    "1e308",
+    "1.7976931348623157e308",
+    "inf",
+    "NaN",
+    "-1e-3",
+];
+
+#[test]
+fn overflowing_extent_is_rejected_without_panic() {
+    // x + w overflows to infinity: the die outline becomes infinite.
+    let text = "big 1.7976931348623157e308 1 1e308 0\nsmall 1 1 0 0\n";
+    let fp = parse_flp("overflow", text).expect("every field is finite and non-negative");
+    assert!(fp.validate().is_err());
+    let _ = fp.coverage();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn flp_arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255u8, 0usize..512)) {
+        parse_untrusted(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn flp_truncated_alpha_never_panics(cut in 0usize..4096) {
+        let text = write_flp(&alpha21264()).into_bytes();
+        parse_untrusted(&String::from_utf8_lossy(&text[..cut % (text.len() + 1)]));
+    }
+
+    #[test]
+    fn flp_mutated_alpha_never_panics(
+        edits in prop::collection::vec((0usize..4096, 0u8..=255u8), 1usize..8),
+    ) {
+        let mut text = write_flp(&alpha21264()).into_bytes();
+        let len = text.len();
+        for (at, byte) in edits {
+            text[at % len] = byte;
+        }
+        parse_untrusted(&String::from_utf8_lossy(&text));
+    }
+
+    #[test]
+    fn flp_extreme_fields_never_panic(
+        fields in prop::collection::vec(prop::sample::select(EXTREMES.to_vec()), 8),
+    ) {
+        let text = format!("a {}\nb {}\n", fields[..4].join(" "), fields[4..].join(" "));
+        parse_untrusted(&text);
     }
 }

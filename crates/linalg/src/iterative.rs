@@ -368,6 +368,7 @@ mod tests {
         let n = 50;
         let mut t = Triplets::new(n, n);
         for i in 0..n {
+            #[expect(clippy::cast_possible_truncation, reason = "i % 6 is at most 5")]
             t.push(i, i, 10f64.powi((i % 6) as i32));
             if i > 0 {
                 t.push(i, i - 1, -0.1);

@@ -1,3 +1,6 @@
+// A truncating `as` cast on a solver path needs a range proof: each one
+// carries `#[expect(clippy::cast_possible_truncation, reason = "...")]`.
+#![deny(clippy::cast_possible_truncation)]
 #![expect(
     clippy::needless_range_loop,
     reason = "index-based loops are the clearest notation for the factorization and \

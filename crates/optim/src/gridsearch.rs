@@ -52,7 +52,10 @@ impl GridSearch {
         let coords = |dim: usize, idx: usize| -> f64 {
             lo[dim] + (hi[dim] - lo[dim]) * idx as f64 / (k - 1) as f64
         };
-        // oftec-lint: allow(L012, exponent cast: n is checked <= 3 just above)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "exponent cast: n is checked <= 3 just above"
+        )]
         let total = k.pow(n as u32);
 
         let _span = telemetry::span("gridsearch.solve");

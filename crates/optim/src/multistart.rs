@@ -18,7 +18,10 @@ pub fn grid_starts<P: NlpProblem>(problem: &P, per_dim: usize) -> Vec<Vec<f64>> 
     assert!(per_dim > 0, "need at least one start per dimension");
     let (lo, hi) = problem.bounds();
     let n = problem.dim();
-    // oftec-lint: allow(L012, exponent cast: n is the NLP dimension (2-3), far below u32::MAX)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "exponent cast: n is the NLP dimension (2-3), far below u32::MAX"
+    )]
     let total = per_dim.pow(n as u32);
     let mut starts = Vec::with_capacity(total);
     for flat in 0..total {

@@ -1,3 +1,6 @@
+// A truncating `as` cast on a solver path needs a range proof: each one
+// carries `#[expect(clippy::cast_possible_truncation, reason = "...")]`.
+#![deny(clippy::cast_possible_truncation)]
 //! Power modeling: temperature-dependent leakage and workload synthesis.
 //!
 //! This crate substitutes for the two closed tools in the paper's flow:

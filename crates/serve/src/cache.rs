@@ -120,7 +120,7 @@ struct Entry {
 
 struct Inner {
     /// Ordered map: iteration order is the key order, not hasher state,
-    /// keeping every walk over the store deterministic (L008).
+    /// keeping every walk over the store deterministic.
     map: BTreeMap<CacheKey, Entry>,
     /// Recency markers, oldest first. Stale markers (seq != entry.touched)
     /// are skipped during eviction and compaction.
@@ -152,7 +152,8 @@ impl QuantizedCache {
         &self.cfg
     }
 
-    // oftec-lint: hot
+    /// The cache key `spec` maps to. Allocation-free: checked by
+    /// `tests/hot_paths_alloc_free.rs`.
     pub fn key_for(&self, spec: &SolveSpec) -> CacheKey {
         CacheKey::for_spec(spec, &self.cfg)
     }

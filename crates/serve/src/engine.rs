@@ -106,7 +106,6 @@ impl<'a> DeadlineModel<'a> {
         }
     }
 
-    // oftec-lint: hot
     fn check(&self) -> Result<(), ThermalError> {
         if Instant::now() >= self.deadline {
             self.expired.store(true, Ordering::Relaxed);

@@ -216,8 +216,8 @@ impl FlightRecorder {
     /// Records one completed trace and returns its admission sequence
     /// (1-based, strictly increasing in call order). The record's own
     /// `seq` field is ignored and replaced. Allocation-free: the sequence
-    /// is stamped into the encoded word block, not a cloned record.
-    // oftec-lint: hot
+    /// is stamped into the encoded word block, not a cloned record
+    /// (checked by `crates/serve/tests/hot_paths_alloc_free.rs`).
     pub fn record(&self, record: &TraceRecord) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let mut words = record.encode();

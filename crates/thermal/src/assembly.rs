@@ -127,10 +127,26 @@ fn grid_overlaps(a: &LayerGrid, b: &LayerGrid) -> Vec<(usize, usize, f64)> {
         for ca in 0..a.spec.dims.cols {
             let cell = a.spec.cell_rect(ra, ca);
             // Candidate b-cell index window.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "floored and clamped at 0: a column offset inside the package extent"
+            )]
             let c_lo = (((cell.x().meters() - bx0) / bw).floor().max(0.0)) as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a cell index inside the package extent, clamped to [0, cols] next"
+            )]
             let c_hi = ((((cell.right().meters() - bx0) / bw).ceil()) as isize)
                 .clamp(0, b.spec.dims.cols as isize) as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "floored and clamped at 0: a row offset inside the package extent"
+            )]
             let r_lo = (((cell.y().meters() - by0) / bh).floor().max(0.0)) as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a cell index inside the package extent, clamped to [0, rows] next"
+            )]
             let r_hi = ((((cell.top().meters() - by0) / bh).ceil()) as isize)
                 .clamp(0, b.spec.dims.rows as isize) as usize;
             for rb in r_lo..r_hi {

@@ -1,3 +1,6 @@
+// A truncating `as` cast on a solver path needs a range proof: each one
+// carries `#[expect(clippy::cast_possible_truncation, reason = "...")]`.
+#![deny(clippy::cast_possible_truncation)]
 //! Steady-state and transient thermal simulation of a hybrid TEC + fan
 //! cooling package — the reproduction's substitute for the paper's
 //! modified **Teculator** simulator.
