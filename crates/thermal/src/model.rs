@@ -5,7 +5,7 @@ use crate::assembly::{build_network, Network};
 use crate::config::{CoolingConfig, PackageConfig};
 use crate::error::ThermalError;
 use crate::skeleton::AssemblySkeleton;
-use crate::solution::{PowerBreakdown, ThermalSolution};
+use crate::solution::{NodeField, PowerBreakdown, ThermalSolution};
 use crate::stack::LayerRole;
 use oftec_floorplan::{Floorplan, GridMap};
 use oftec_linalg::{
@@ -15,6 +15,7 @@ use oftec_power::{fit_linear_leakage_over, ExponentialLeakage, LeakageModel};
 use oftec_tec::{TecDeployment, TecDeviceParams};
 use oftec_telemetry as telemetry;
 use oftec_units::{AngularVelocity, Current, Power, Temperature};
+use std::sync::Arc;
 
 /// One point of OFTEC's two-variable design space.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -61,7 +62,9 @@ pub(crate) struct CellLeak {
 pub struct HybridCoolingModel {
     network: Network,
     config: PackageConfig,
-    gridmap: GridMap,
+    /// Die cells → floorplan units; shared with every solution, which
+    /// reduces its per-unit maxima on demand.
+    gridmap: Arc<GridMap>,
     unit_names: Vec<String>,
     chip_start: usize,
     chip_cells: usize,
@@ -263,7 +266,7 @@ impl HybridCoolingModel {
         Ok(Self {
             network,
             config: config.clone(),
-            gridmap,
+            gridmap: Arc::new(gridmap),
             unit_names: floorplan
                 .units()
                 .iter()
@@ -789,18 +792,20 @@ impl HybridCoolingModel {
             )));
         }
 
-        Ok(self.package_solution(op, temps, leak, summary.iterations))
+        Ok(self.package_solution(op, NodeField::Full(temps), leak, summary.iterations))
     }
 
     /// Builds the public solution object: power accounting + reductions.
+    /// Reads only the die cells and the TEC absorption/rejection rows of
+    /// `field`.
     pub(crate) fn package_solution(
         &self,
         op: OperatingPoint,
-        temps: Vec<f64>,
+        field: NodeField,
         leak: &[CellLeak],
         iterations: usize,
     ) -> ThermalSolution {
-        let chip_temps = &temps[self.chip_start..self.chip_start + self.chip_cells];
+        let chip_temps = field.chip(self.chip_start, self.chip_cells);
 
         let leakage_w: f64 = leak
             .iter()
@@ -810,16 +815,20 @@ impl HybridCoolingModel {
 
         let i = op.tec_current.amperes();
         let tec_w: f64 = match &self.tec {
-            Some(tec) if i != 0.0 => (0..self.chip_cells)
-                .map(|cell| {
-                    let alpha = tec.alpha_cell[cell];
-                    if alpha == 0.0 {
-                        return 0.0;
-                    }
-                    let dt = temps[tec.rej_start + cell] - temps[tec.abs_start + cell];
-                    alpha * dt * i + tec.r_cell[cell] * i * i
-                })
-                .sum(),
+            Some(tec) if i != 0.0 => {
+                let abs = field.rows(tec.abs_start, self.chip_cells);
+                let rej = field.rows(tec.rej_start, self.chip_cells);
+                (0..self.chip_cells)
+                    .map(|cell| {
+                        let alpha = tec.alpha_cell[cell];
+                        if alpha == 0.0 {
+                            return 0.0;
+                        }
+                        let dt = rej[cell] - abs[cell];
+                        alpha * dt * i + tec.r_cell[cell] * i * i
+                    })
+                    .sum()
+            }
             _ => 0.0,
         };
 
@@ -828,12 +837,11 @@ impl HybridCoolingModel {
             tec: Power::from_watts(tec_w),
             fan: self.config.fan.power(op.fan_speed),
         };
-        let unit_max = self.gridmap.unit_max(chip_temps);
         ThermalSolution::new(
-            temps,
+            field,
             self.chip_start,
             self.chip_cells,
-            unit_max,
+            Arc::clone(&self.gridmap),
             breakdown,
             iterations,
         )

@@ -1,6 +1,10 @@
 //! Solved steady states and their power accounting.
 
+use crate::reduction::ModalBasis;
+use oftec_floorplan::GridMap;
 use oftec_units::{Power, Temperature};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// The three cooling-related power terms of the paper's objective
 /// (Eqs. (10)–(13)).
@@ -40,44 +44,101 @@ impl PowerBreakdown {
     }
 }
 
+/// The node temperatures of a solution.
+///
+/// A full solve owns every node. A reduced solve keeps only its die cells
+/// and the modal coordinates `y`; the full field `V·y` is expanded on the
+/// first [`ThermalSolution::node_temperatures`] call, with the same per-node
+/// sums an eager rebuild uses, so both forms give the same bits.
+#[derive(Debug, Clone)]
+pub(crate) enum NodeField {
+    /// Every node temperature, in network order.
+    Full(Vec<f64>),
+    /// Die cells plus the coordinates to expand the rest from.
+    Modal {
+        chip: Vec<f64>,
+        y: Vec<f64>,
+        basis: Arc<ModalBasis>,
+        full: OnceLock<Vec<f64>>,
+    },
+}
+
+impl NodeField {
+    /// The die cells, which occupy nodes `start..start + cells`.
+    pub(crate) fn chip(&self, start: usize, cells: usize) -> &[f64] {
+        match self {
+            NodeField::Full(temps) => &temps[start..start + cells],
+            NodeField::Modal { chip, .. } => chip,
+        }
+    }
+
+    /// Nodes `start..start + len` (rebuilt from the basis when modal).
+    pub(crate) fn rows(&self, start: usize, len: usize) -> Cow<'_, [f64]> {
+        match self {
+            NodeField::Full(temps) => Cow::Borrowed(&temps[start..start + len]),
+            NodeField::Modal { y, basis, .. } => Cow::Owned(basis.rows(start, len, y)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            NodeField::Full(temps) => temps.len(),
+            NodeField::Modal { basis, .. } => basis.nodes(),
+        }
+    }
+}
+
 /// A converged steady-state thermal solution.
 #[derive(Debug, Clone)]
 pub struct ThermalSolution {
-    temps: Vec<f64>,
+    field: NodeField,
     chip_start: usize,
     chip_cells: usize,
-    unit_max: Vec<f64>,
+    gridmap: Arc<GridMap>,
+    /// Per-unit maxima, reduced from the die cells on first use.
+    unit_max: OnceLock<Vec<f64>>,
     breakdown: PowerBreakdown,
     solver_iterations: usize,
 }
 
 impl ThermalSolution {
     pub(crate) fn new(
-        temps: Vec<f64>,
+        field: NodeField,
         chip_start: usize,
         chip_cells: usize,
-        unit_max: Vec<f64>,
+        gridmap: Arc<GridMap>,
         breakdown: PowerBreakdown,
         solver_iterations: usize,
     ) -> Self {
         Self {
-            temps,
+            field,
             chip_start,
             chip_cells,
-            unit_max,
+            gridmap,
+            unit_max: OnceLock::new(),
             breakdown,
             solver_iterations,
         }
     }
 
-    /// All node temperatures, in Kelvin, in network order.
+    /// The stored field, for tests that tell eager and lazy apart.
+    #[cfg(test)]
+    pub(crate) fn field(&self) -> &NodeField {
+        &self.field
+    }
+
+    /// All node temperatures, in Kelvin, in network order. A reduced
+    /// solution builds this vector on the first call.
     pub fn node_temperatures(&self) -> &[f64] {
-        &self.temps
+        match &self.field {
+            NodeField::Full(temps) => temps,
+            NodeField::Modal { y, basis, full, .. } => full.get_or_init(|| basis.expand(y)),
+        }
     }
 
     /// Chip-layer cell temperatures, in Kelvin.
     pub fn chip_temperatures(&self) -> &[f64] {
-        &self.temps[self.chip_start..self.chip_start + self.chip_cells]
+        self.field.chip(self.chip_start, self.chip_cells)
     }
 
     /// The paper's 𝒯: the maximum chip-cell temperature (Eq. (19)).
@@ -115,6 +176,7 @@ impl ThermalSolution {
     /// Per-functional-unit maximum temperatures, in floorplan order.
     pub fn unit_max_temperatures(&self) -> Vec<Temperature> {
         self.unit_max
+            .get_or_init(|| self.gridmap.unit_max(self.chip_temperatures()))
             .iter()
             .map(|&t| Temperature::from_kelvin(t))
             .collect()
@@ -150,10 +212,11 @@ impl ThermalSolution {
     pub fn poisoned_copy(&self) -> Self {
         let nan_power = Power::from_watts(f64::NAN);
         Self {
-            temps: vec![f64::NAN; self.temps.len()],
+            field: NodeField::Full(vec![f64::NAN; self.field.len()]),
             chip_start: self.chip_start,
             chip_cells: self.chip_cells,
-            unit_max: vec![f64::NAN; self.unit_max.len()],
+            gridmap: Arc::clone(&self.gridmap),
+            unit_max: OnceLock::from(vec![f64::NAN; self.unit_max_temperatures().len()]),
             breakdown: PowerBreakdown {
                 leakage: nan_power,
                 tec: nan_power,
@@ -169,11 +232,15 @@ mod tests {
     use super::*;
 
     fn solution() -> ThermalSolution {
+        // A 1×3 die: unit `a` covers the first two cells, `b` the third.
+        let plan =
+            oftec_floorplan::parse_flp("toy", "a 2e-3 1e-3 0 0\nb 1e-3 1e-3 2e-3 0\n").unwrap();
+        let gridmap = GridMap::new(&plan, oftec_floorplan::GridDims::new(1, 3));
         ThermalSolution::new(
-            vec![300.0, 350.0, 370.0, 320.0, 310.0],
+            NodeField::Full(vec![300.0, 350.0, 370.0, 320.0, 310.0]),
             1,
             3,
-            vec![370.0, 350.0],
+            Arc::new(gridmap),
             PowerBreakdown {
                 leakage: Power::from_watts(8.0),
                 tec: Power::from_watts(3.0),
@@ -226,6 +293,9 @@ mod tests {
         let units = s.unit_max_temperatures();
         assert_eq!(units.len(), 2);
         assert_eq!(units[0].kelvin(), 370.0);
+        assert_eq!(units[1].kelvin(), 320.0);
         assert_eq!(s.solver_iterations(), 42);
+        let poisoned = s.poisoned_copy().unit_max_temperatures();
+        assert!(poisoned.len() == 2 && poisoned.iter().all(|t| t.kelvin().is_nan()));
     }
 }
