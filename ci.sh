@@ -2,10 +2,12 @@
 # Repository gate: build, tests, lints, formatting.
 set -eu
 
-cargo build --release --workspace
+# --locked: a Cargo.lock that resolution would have to rewrite, here or
+# in perfbench/, fails the gate instead of being silently rewritten.
+cargo build --release --workspace --locked
 # The benchmark of record (BENCHMARK.json) is a standalone package over
 # the serve, fleet and core APIs: an API change that breaks it fails here.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 # Its self-test runs every workload briefly and checks served payloads
 # against `reference_payload` and controller answers against the full
 # model: the end-to-end bit-identity of the reduced and cached paths.
@@ -105,23 +107,14 @@ OFTEC_THREADS=8 cargo test -q -p oftec --test fault_injection
 # (qsort at 1.05× power is infeasible at the start point, so Algorithm 1
 # runs Optimization 2 and then Optimization 1).
 snap=$(mktemp)
-portfile=$(mktemp)
-servesnap=$(mktemp)
-servebench=$(mktemp)
 redbench=$(mktemp)
 obsport=$(mktemp)
 obssnap=$(mktemp)
 obsdump=$(mktemp)
-burstport=$(mktemp)
-burstsnap=$(mktemp)
-burstbench=$(mktemp)
 # On exit, reap any smoke server still running (a failed assert would
 # otherwise orphan it holding our stdout pipe) before removing temp files.
-trap 'for p in "${srv:-}" "${obssrv:-}" "${burstsrv:-}"; do
-        if [ -n "$p" ]; then kill "$p" 2> /dev/null || true; fi
-    done
-    rm -f "$snap" "$portfile" "$servesnap" "$servebench" "$redbench" \
-    "$obsport" "$obssnap" "$obsdump" "$burstport" "$burstsnap" "$burstbench"' EXIT
+trap 'if [ -n "${obssrv:-}" ]; then kill "$obssrv" 2> /dev/null || true; fi
+    rm -f "$snap" "$redbench" "$obsport" "$obssnap" "$obsdump"' EXIT
 ./target/release/oftec-cli optimize qsort --scale 1.05 --telemetry-json "$snap" > /dev/null
 python3 - "$snap" <<'PY'
 import json, sys
@@ -136,72 +129,11 @@ print("telemetry smoke ok:",
       counters["sqp.iterations"], "SQP iterations")
 PY
 
-# Serve smoke: boot the cooling-control service on an ephemeral loopback
-# port, drive it with the load generator's mixed traffic (valid, invalid,
-# and repeated requests), then check the server-side counters and that a
-# graceful drain exits 0.
-: > "$portfile"
-./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse \
-    --port-file "$portfile" --telemetry-json "$servesnap" 2> /dev/null &
-srv=$!
-tries=0
-while [ ! -s "$portfile" ]; do
-    tries=$((tries + 1))
-    [ "$tries" -le 100 ] || { echo "server never published its port"; kill "$srv"; exit 1; }
-    sleep 0.1
-done
-addr="127.0.0.1:$(cat "$portfile")"
-./target/release/oftec-loadgen --addr "$addr" --connections 32 --requests 20 \
-    --key-reuse 0.6 --mix mixed --seed 7 --out "$servebench" --shutdown > /dev/null
-wait "$srv"  # graceful drain: stop accepting, answer in-flight, exit 0
-python3 - "$servesnap" "$servebench" <<'PY'
-import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-assert counters.get("serve.requests", 0) > 0, "no requests recorded"
-assert counters.get("serve.cache.hits", 0) > 0, "no cache hits under 60% key reuse"
-assert counters.get("serve.panics", 0) == 0, "server panicked under mixed load"
-assert counters.get("serve.responses_err", 0) > 0, "mixed traffic must produce typed errors"
-assert counters.get("serve.probes", 0) > 0, "health/shutdown probes not counted"
-bench = json.load(open(sys.argv[2]))
-assert bench["requests"] > 0 and bench["ok"] > 0, "loadgen recorded no traffic"
-assert bench["latency"]["overall"]["p50_us"] > 0, "no latency percentiles"
-# Errors are split by cause and the classes partition the error count.
-# Mixed traffic's injected malformed requests are `rejected` (the server
-# refusing them is correct behavior); `failed` — solver errors, panics,
-# internal faults — must be zero on a healthy server.
-split = (bench["shed"] + bench["deadline_exceeded"]
-         + bench["rejected"] + bench["failed"])
-assert split == bench["errors"], "error split does not partition errors"
-assert bench["failed"] == 0, f"{bench['failed']} unexplained failures"
-assert sum(bench["error_causes"].values()) == bench["errors"], \
-    "per-kind causes do not partition errors"
-# The client's ok count and the server's must agree exactly: probes
-# (health/metrics scrapes) never touch the response counters.
-assert bench["ok"] == counters["serve.responses_ok"], \
-    "client/server ok counts disagree"
-# Typed per-cause server counters partition serve.responses_err.
-err_causes = sum(v for k, v in counters.items()
-                 if k.startswith("serve.errors."))
-assert err_causes == counters["serve.responses_err"], \
-    "typed error counters do not partition responses_err"
-# Per-stage latency breakdown from the response trace metadata.
-for stage in ("parse", "queue", "batch", "cache", "solve"):
-    assert bench["stages"][stage]["count"] > 0, f"no {stage} stage samples"
-# The loadgen's live Prometheus scraper ran against the server mid-run.
-assert bench["live_scrapes"]["scrapes"] > 0, "no live metrics scrapes"
-assert bench["live_scrapes"]["last_serve_requests"] > 0, \
-    "scraped exposition never showed serve_requests"
-print("serve smoke ok:",
-      counters["serve.requests"], "requests,",
-      counters["serve.cache.hits"], "cache hits,",
-      bench["live_scrapes"]["scrapes"], "live scrapes,",
-      counters["serve.panics"], "panics")
-PY
-
-# Observability smoke: boot a fault-injected server (every solve errors),
-# check the metrics endpoint's JSON and Prometheus forms agree, drive the
-# solver-error SLO monitor to a breach, and confirm the flight recorder
-# retains the failing traces and dumps them on the breach edge.
+# Observability smoke: boot the CLI server on an ephemeral port with
+# fault injection (every solve errors), drive the solver-error SLO monitor
+# to a breach, confirm the flight recorder retains the failing traces and
+# dumps them on the breach edge, and check a graceful drain exits 0 with
+# its final telemetry snapshot written.
 : > "$obsport"
 ./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse \
     --fault-kind err --fault-every 1 --flight-dump "$obsdump" \
@@ -221,23 +153,6 @@ f = sock.makefile("rw", encoding="utf-8", newline="\n")
 def rpc(line):
     f.write(line + "\n"); f.flush()
     return json.loads(f.readline())
-
-# The JSON and Prometheus metric forms must expose the same counters.
-js = rpc('{"cmd":"metrics"}')["result"]["counters"]
-prom = rpc('{"cmd":"metrics","format":"prometheus"}')["result"]
-exposed = {}
-for line in prom.splitlines():
-    if line and not line.startswith("#") and "{" not in line:
-        name, value = line.rsplit(" ", 1)
-        exposed[name] = float(value)
-for name, value in js.items():
-    prom_name = name.replace(".", "_")
-    # serve.probes moves between the two scrapes: each scrape is itself
-    # a probe.
-    if name == "serve.probes":
-        continue
-    assert exposed.get(prom_name) == value, \
-        f"{name}: prometheus says {exposed.get(prom_name)}, json says {value}"
 
 # Every solve faults: drive the solver-error SLO monitor to a breach.
 for i in range(10):
@@ -262,54 +177,12 @@ import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 assert counters.get("slo.breaches.solver_error_rate", 0) >= 1, \
     "breach counter missing from the final snapshot"
+assert counters.get("serve.probes", 0) > 0, "slo/trace/shutdown probes not counted"
+assert counters.get("serve.panics", 0) == 0, "server panicked on faulting solves"
 dump = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
 assert dump and any(not e["ok"] for e in dump), \
     "SLO breach did not dump the flight recorder"
 print("flight dump ok:", len(dump), "records")
-PY
-
-# Scale smoke (DESIGN.md §16): open-loop burst traffic at 32 connections.
-# Asserts the sustained/burst report blocks, a bounded shed rate, zero
-# unexplained failures, and exact client/server counter agreement.
-: > "$burstport"
-./target/release/oftec-cli serve --addr 127.0.0.1:0 --coarse --prewarm qsort \
-    --port-file "$burstport" --telemetry-json "$burstsnap" 2> /dev/null &
-burstsrv=$!
-tries=0
-while [ ! -s "$burstport" ]; do
-    tries=$((tries + 1))
-    [ "$tries" -le 100 ] || { echo "burst server never published its port"; kill "$burstsrv"; exit 1; }
-    sleep 0.1
-done
-./target/release/oftec-loadgen --addr "127.0.0.1:$(cat "$burstport")" \
-    --connections 32 --requests 25 --open-rps 120 --burst-requests 10 \
-    --burst-mult 3 --key-reuse 0.8 --mix mixed --seed 11 \
-    --out "$burstbench" --shutdown > /dev/null
-wait "$burstsrv"
-python3 - "$burstsnap" "$burstbench" <<'PY'
-import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-bench = json.load(open(sys.argv[2]))
-# Every injected request was answered: the open loop ran to completion.
-assert bench["requests"] == 32 * 35, f"lost requests: {bench['requests']}"
-assert bench["failed"] == 0, f"{bench['failed']} unexplained failures"
-assert bench["failed_connections"] == 0, "connections died mid-run"
-# Sustained and burst phases are reported separately, with tail latency.
-sus, burst = bench["sustained"], bench["burst"]
-assert sus["requests"] == 32 * 25 and burst["requests"] == 32 * 10
-assert sus["achieved_rps"] > 0 and burst["achieved_rps"] > 0
-assert sus["shed_rate"] < 0.2, f"sustained shed rate {sus['shed_rate']}"
-assert bench["latency"]["overall"]["p999_us"] >= bench["latency"]["overall"]["p99_us"]
-# Client and server agree exactly: no silent drops.
-assert bench["ok"] == counters["serve.responses_ok"], \
-    f"client ok {bench['ok']} != server {counters['serve.responses_ok']}"
-assert counters.get("serve.panics", 0) == 0, "server panicked under burst load"
-assert counters.get("serve.requests", 0) >= bench["requests"], \
-    f"serve.requests = {counters.get('serve.requests', 0)} missed workload messages"
-print("burst smoke ok:",
-      int(sus["achieved_rps"]), "rps sustained,",
-      int(burst["achieved_rps"]), "rps burst,",
-      f"shed {sus['shed_rate']:.3f}")
 PY
 
 # Reduced-order solve smoke (DESIGN.md §14): build the POD basis on the

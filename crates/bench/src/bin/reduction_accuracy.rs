@@ -8,10 +8,10 @@
 //!   --benchmark <name>   workload (default qsort)
 //!   --smoke              coarse DAC'14 package + small grid (CI gate)
 //!   --repeats <n>        reduced-path timing repeats per grid point
-//!   --out <path>         report file (default BENCH_reduction.json)
+//!   --out <path>         report file (default target/reduction_accuracy.json)
 //! ```
 //!
-//! The report (`BENCH_reduction.json`) records, over an operating-point
+//! The JSON report records, over an operating-point
 //! grid spanning the feasible region:
 //!
 //! - max/mean absolute die-temperature error of the reduced solve vs the
@@ -42,7 +42,7 @@ impl Default for Config {
             benchmark: "qsort".into(),
             smoke: false,
             repeats: 0, // 0 = pick by mode
-            out: "BENCH_reduction.json".into(),
+            out: "target/reduction_accuracy.json".into(),
         }
     }
 }

@@ -12,9 +12,10 @@ use oftec_thermal::{
 use oftec_units::{Power, Temperature};
 
 /// Evaluation count at which a POD basis build pays for itself: the build
-/// costs roughly this many full steady solves (BENCH_reduction.json
-/// measures the break-even at ≈ 44 on the dac14 package), so callers
-/// expecting fewer evaluations should stay on the full path.
+/// costs roughly this many full steady solves (the `reduction_accuracy`
+/// bin prints the break-even as `build.amortized_after_evals`, ≈ 44 on the
+/// dac14 package), so callers expecting fewer evaluations should stay on
+/// the full path.
 pub const REDUCED_BUILD_AMORTIZATION_EVALS: usize = 44;
 
 /// Everything OFTEC needs for one workload: the die, the Table 1 package,
@@ -218,7 +219,7 @@ impl CoolingSystem {
     /// expects to perform against the returned model.
     ///
     /// Building the POD basis costs a few dozen warm-started full solves
-    /// (≈ [`REDUCED_BUILD_AMORTIZATION_EVALS`] per BENCH_reduction.json),
+    /// (≈ [`REDUCED_BUILD_AMORTIZATION_EVALS`], per the `reduction_accuracy` bin),
     /// so a caller that will only make a handful of evaluations is better
     /// served by the full model. Below the amortization point this skips
     /// the build (counting `reduction.builds_skipped`) and returns a

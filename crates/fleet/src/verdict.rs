@@ -6,9 +6,9 @@ use oftec::{Oftec, OftecOutcome};
 use serde::{Deserialize, Serialize};
 
 /// How many thermal evaluations a verdict-only hybrid solve is expected
-/// to spend. Below the POD amortization point (≈ 44 evaluations, see
-/// BENCH_reduction.json), so verdict solves take the full path and skip
-/// the basis build; cross-checked scenarios use
+/// to spend. Below the POD amortization point (≈ 44 evaluations, as the
+/// `reduction_accuracy` bin measures), so verdict solves take the full
+/// path and skip the basis build; cross-checked scenarios use
 /// [`CROSS_CHECK_EVAL_BUDGET`] instead and amortize the build across the
 /// four optimizers.
 pub const VERDICT_EVAL_BUDGET: usize = 40;

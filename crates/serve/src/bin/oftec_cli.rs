@@ -27,8 +27,6 @@
 //!   --cache-capacity <n>       result-cache entries (default 1024)
 //!   --conn-workers <n>         shard workers multiplexing connections
 //!                              (default 0: auto, up to 4)
-//!   --max-inflight <n>         pipelined requests per connection before
-//!                              the worker stops reading it (default 64)
 //!   --queue-capacity <n>       admission queue bound (default 256)
 //!   --coarse                   coarse DAC'14 package (fast solves)
 //!   --prewarm <benchmark>      build the benchmark's system and reduced
@@ -164,10 +162,6 @@ fn parse_serve_config(
             "--conn-workers" => {
                 config.conn_workers =
                     parse_num("--conn-workers", value("--conn-workers")?)? as usize;
-            }
-            "--max-inflight" => {
-                config.max_inflight =
-                    (parse_num("--max-inflight", value("--max-inflight")?)? as usize).max(1);
             }
             "--queue-capacity" => {
                 config.queue_capacity =

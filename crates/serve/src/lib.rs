@@ -28,9 +28,9 @@
 //!   reusable per-connection buffers — thread count is fixed by
 //!   configuration, not by client count.
 //!
-//! The companion binaries live in this crate: `oftec-cli` (with the
-//! `serve` subcommand) and `oftec-loadgen` (closed/open-loop load
-//! generator reporting latency percentiles into `BENCH_serve.json`).
+//! The companion binary `oftec-cli` lives in this crate; its `serve`
+//! subcommand runs the service. Load is measured by the standalone
+//! `perfbench` package (its `serve` workload), not from this crate.
 
 pub mod cache;
 pub mod engine;

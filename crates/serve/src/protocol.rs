@@ -29,10 +29,8 @@ pub enum Request {
     Sweep { spec: SolveSpec },
     /// Liveness probe; answered inline, never queued.
     Health,
-    /// Telemetry snapshot; answered inline, never queued. With
-    /// `prometheus` set (`"format":"prometheus"`), the result is the
-    /// text exposition as a JSON string instead of the JSON snapshot.
-    Metrics { prometheus: bool },
+    /// Telemetry snapshot as JSON; answered inline, never queued.
+    Metrics,
     /// Recent flight-recorder entries; answered inline, never queued.
     Trace { limit: usize, redact: bool },
     /// Rolling-window SLO monitor states; answered inline, never queued.
@@ -349,22 +347,15 @@ pub fn parse_line(line: &str) -> Result<(Option<u64>, Request), (Option<u64>, Er
             Request::Sweep { spec }
         }
         "health" => Request::Health,
-        "metrics" => {
-            let prometheus = match find(map, "format").and_then(Value::as_str) {
-                None | Some("json") => false,
-                Some("prometheus") => true,
-                Some(other) => {
-                    return Err((
-                        id,
-                        ErrBody::new(
-                            "bad_request",
-                            format!("unknown metrics format '{other}'; expected json|prometheus"),
-                        ),
-                    ))
-                }
-            };
-            Request::Metrics { prometheus }
-        }
+        "metrics" => match find(map, "format").map(Value::as_str) {
+            None | Some(Some("json")) => Request::Metrics,
+            Some(_) => {
+                return Err((
+                    id,
+                    ErrBody::new("bad_request", "field 'format' must be \"json\""),
+                ))
+            }
+        },
         "trace" => {
             let limit = opt_u64(map, "limit").map_err(|e| (id, e))?.unwrap_or(64) as usize;
             let redact = opt_bool(map, "redact").map_err(|e| (id, e))?;
@@ -408,13 +399,13 @@ mod tests {
         ));
         assert!(matches!(
             parse_line(r#"{"cmd":"metrics"}"#).unwrap().1,
-            Request::Metrics { prometheus: false }
+            Request::Metrics
         ));
         assert!(matches!(
-            parse_line(r#"{"cmd":"metrics","format":"prometheus"}"#)
+            parse_line(r#"{"cmd":"metrics","format":"json"}"#)
                 .unwrap()
                 .1,
-            Request::Metrics { prometheus: true }
+            Request::Metrics
         ));
         assert!(matches!(
             parse_line(r#"{"cmd":"trace"}"#).unwrap().1,
@@ -467,8 +458,11 @@ mod tests {
         assert_eq!(e.kind, "bad_request");
         let (_, e) = parse_line(r#"{"cmd":"launch","benchmark":"qsort"}"#).unwrap_err();
         assert_eq!(e.kind, "bad_request");
-        let (_, e) = parse_line(r#"{"cmd":"metrics","format":"xml"}"#).unwrap_err();
-        assert_eq!(e.kind, "bad_request");
+        for format in [r#""xml""#, r#""prometheus""#, "3"] {
+            let line = format!(r#"{{"cmd":"metrics","format":{format}}}"#);
+            let (_, e) = parse_line(&line).unwrap_err();
+            assert_eq!(e.kind, "bad_request", "{line}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! misses are admitted into the bounded deadline-aware [`JobQueue`] and
 //! batched onto the executor by a single dispatcher thread, their replies
 //! pumped back in request order as they resolve (responses pipeline up
-//! to [`ServeConfig::max_inflight`] per connection).
+//! to `MAX_INFLIGHT` per connection).
 //!
 //! A panicking connection is contained: the worker catches the unwind,
 //! counts it in `serve.panics`, and drops only that connection — its
@@ -85,20 +85,12 @@ pub struct ServeConfig {
     /// Benchmarks whose systems (and reduced-order models) are built
     /// before the accept loop starts, so first requests skip the build.
     pub prewarm: Vec<oftec_power::Benchmark>,
-    /// Flight-recorder capacity for recently completed traces.
-    pub flight_recent: usize,
-    /// Flight-recorder capacity for retained non-OK traces.
-    pub flight_errors: usize,
     /// Where to dump the flight recorder (JSONL) when the solver-error
     /// SLO monitor breaches; `None` disables the automatic dump.
     pub flight_dump: Option<String>,
     /// Shard workers multiplexing the connections (0 = auto: up to 4,
     /// bounded by the machine's parallelism).
     pub conn_workers: usize,
-    /// Maximum pipelined workload requests awaiting a reply per
-    /// connection; beyond it the worker stops reading that connection
-    /// (TCP backpressure) until replies drain.
-    pub max_inflight: usize,
     /// Test hook: an NDJSON request line equal to this token panics the
     /// connection handler, exercising panic containment in the worker.
     pub panic_token: Option<String>,
@@ -120,11 +112,8 @@ impl Default for ServeConfig {
             telemetry_json: None,
             port_file: None,
             prewarm: Vec::new(),
-            flight_recent: 256,
-            flight_errors: 256,
             flight_dump: None,
             conn_workers: 0,
-            max_inflight: 64,
             panic_token: None,
             fail_worker_spawns: 0,
         }
@@ -139,6 +128,16 @@ const COALESCE_NAP: Duration = Duration::from_micros(100);
 /// one more step, up to the cap.
 const IDLE_NAP_STEP: Duration = Duration::from_micros(20);
 const IDLE_NAP_CAP: Duration = Duration::from_micros(200);
+
+/// Maximum pipelined workload requests awaiting a reply per connection;
+/// beyond it the worker stops reading that connection (TCP backpressure)
+/// until replies drain.
+const MAX_INFLIGHT: usize = 64;
+
+/// Flight-recorder capacities: recently completed traces, and retained
+/// non-OK traces.
+const FLIGHT_RECENT: usize = 256;
+const FLIGHT_ERRORS: usize = 256;
 
 /// Rolling window length of every SLO monitor, in observations.
 const SLO_WINDOW: usize = 256;
@@ -228,7 +227,6 @@ struct Shared {
     workers: AtomicUsize,
     started: Instant,
     max_line_bytes: usize,
-    max_inflight: usize,
     recorder: FlightRecorder,
     monitors: Monitors,
     /// Connection numbering for deterministic trace ids (1-based,
@@ -277,8 +275,7 @@ impl Server {
             workers: AtomicUsize::new(0),
             started: Instant::now(),
             max_line_bytes: config.max_line_bytes,
-            max_inflight: config.max_inflight.max(1),
-            recorder: FlightRecorder::new(config.flight_recent, config.flight_errors),
+            recorder: FlightRecorder::new(FLIGHT_RECENT, FLIGHT_ERRORS),
             monitors: Monitors::new(),
             conn_seq: AtomicU64::new(0),
             flight_dump: config.flight_dump.clone(),
@@ -754,7 +751,7 @@ fn step_conn(
     let mut handled = 0usize;
     // Read: skipped once stopping (drain only), at EOF, or while the
     // pipeline cap is reached (TCP backpressure until replies drain).
-    if !stopping && !conn.eof && !conn.dead && conn.out.len() < shared.max_inflight {
+    if !stopping && !conn.eof && !conn.dead && conn.out.len() < MAX_INFLIGHT {
         match conn.stream.read(chunk) {
             Ok(0) => conn.eof = true,
             Ok(n) => {
@@ -767,7 +764,7 @@ fn step_conn(
     }
     // Extract and handle every complete message buffered so far.
     let mut consumed = 0;
-    while conn.out.len() < shared.max_inflight {
+    while conn.out.len() < MAX_INFLIGHT {
         let (n, msg) = extract_message(
             &conn.rbuf[consumed..],
             &mut conn.discarding,
@@ -925,7 +922,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, parsed: Parsed) {
         Ok((
             _,
             Request::Health
-                | Request::Metrics { .. }
+                | Request::Metrics
                 | Request::Trace { .. }
                 | Request::Slo
                 | Request::Shutdown
@@ -988,14 +985,9 @@ fn handle_probe(shared: &Shared, id: Option<u64>, request: &Request) -> String {
             );
             protocol::ok_line(id, false, &payload)
         }
-        Request::Metrics { prometheus: false } => {
+        Request::Metrics => {
             telemetry::flush();
             protocol::ok_line(id, false, &authoritative_snapshot().to_json())
-        }
-        Request::Metrics { prometheus: true } => {
-            telemetry::flush();
-            let text = telemetry::to_prometheus(&authoritative_snapshot());
-            protocol::ok_line(id, false, &protocol::escape_json(&text))
         }
         Request::Trace { limit, redact } => {
             let entries = shared.recorder.snapshot();

@@ -123,7 +123,7 @@ fn worker_pool_bounds_threads_under_connection_burst() {
     let server = TestServer::start(config);
 
     // Far more connections than workers, all with a request in flight.
-    let mut conns: Vec<Conn> = (0..16).map(|_| Conn::open(server.addr)).collect();
+    let mut conns: Vec<Conn> = (0..32).map(|_| Conn::open(server.addr)).collect();
     for (i, c) in conns.iter_mut().enumerate() {
         c.send(&format!(
             r#"{{"cmd":"steady","id":{i},"benchmark":"qsort","rpm":{},"amps":1.0}}"#,
@@ -152,7 +152,7 @@ fn worker_pool_bounds_threads_under_connection_burst() {
         }
         assert_eq!(
             shard_threads, 2,
-            "17 connections must still be served by exactly 2 shard workers"
+            "33 connections must still be served by exactly 2 shard workers"
         );
     }
     server.stop();

@@ -1,7 +1,8 @@
 //! Observability-plane integration tests: response trace metadata, the
 //! flight recorder's cross-thread-count determinism, probe/workload
-//! counter separation, SLO monitors, and the breach-triggered dump —
-//! all against real servers on loopback.
+//! counter separation and the typed error-counter partition, SLO
+//! monitors, and the breach-triggered dump — all against real servers on
+//! loopback.
 
 mod common;
 
@@ -144,42 +145,91 @@ fn flight_recorder_is_deterministic_across_thread_counts() {
 
 /// `serve.responses_ok` must count workload responses exactly: probe
 /// traffic (health/metrics/trace/slo) touches only `serve.probes`. This
-/// pins the invariant that a load generator's metrics side channel can
-/// never make the server's ok-count disagree with the client's.
+/// pins the invariant that a load client's metrics side channel can
+/// never make the server's ok-count disagree with the client's. The
+/// workload side is mixed traffic on the same connection — a solve, its
+/// cache hit and five typed errors — whose per-cause `serve.errors.*`
+/// counters must partition `serve.responses_err`.
 #[test]
 fn probes_never_touch_workload_response_counters() {
     let _guard = counter_lock();
-    let server = TestServer::start(test_config());
+    let server = TestServer::start(ServeConfig {
+        max_line_bytes: 256,
+        ..test_config()
+    });
     let mut conn = Conn::open(server.addr);
-    let baseline = conn.request(r#"{"cmd":"metrics"}"#);
-    let (ok0, err0, req0, probes0) = (
-        counter(&baseline, "serve.responses_ok"),
-        counter(&baseline, "serve.responses_err"),
-        counter(&baseline, "serve.requests"),
-        counter(&baseline, "serve.probes"),
-    );
-    // Probe flurry + exactly one workload request.
-    conn.request(r#"{"cmd":"health"}"#);
-    conn.request(r#"{"cmd":"metrics","format":"prometheus"}"#);
-    conn.request(r#"{"cmd":"trace"}"#);
-    conn.request(r#"{"cmd":"slo"}"#);
-    let solve = conn.request(&steady_line(2750.0, 1.3, 9));
-    assert!(is_ok(&solve));
+    // Sum of every `serve.errors.*` counter in a `metrics` reply.
+    let error_causes = |metrics: &str| -> u64 {
+        let result = field(&envelope(metrics), "result");
+        let counters = field(result.as_map().expect("metrics result"), "counters");
+        counters
+            .as_map()
+            .expect("counters map")
+            .iter()
+            .filter(|(name, _)| name.starts_with("serve.errors."))
+            .filter_map(|(_, v)| v.as_f64())
+            .map(|v| v as u64)
+            .sum()
+    };
+    let before = conn.request(r#"{"cmd":"metrics"}"#);
+    for probe in [
+        r#"{"cmd":"health"}"#,
+        r#"{"cmd":"metrics"}"#,
+        r#"{"cmd":"trace"}"#,
+        r#"{"cmd":"slo"}"#,
+    ] {
+        assert!(is_ok(&conn.request(probe)), "{probe}");
+    }
+    let workload = [
+        steady_line(2750.0, 1.3, 1),
+        steady_line(2750.0, 1.3, 2),
+        "{not json".to_string(),
+        r#"{"cmd":"steady","id":3,"benchmark":"doom"}"#.to_string(),
+        format!(
+            r#"{{"cmd":"steady","benchmark":"qsort","pad":"{}"}}"#,
+            "x".repeat(512)
+        ),
+        r#"{"cmd":"metrics","id":4,"format":"xml"}"#.to_string(),
+        r#"{"cmd":"steady","id":5,"benchmark":"qsort","rpm":3000,"amps":1.0,"deadline_ms":0,"no_cache":true}"#
+            .to_string(),
+    ];
+    let replies: Vec<String> = workload.iter().map(|line| conn.request(line)).collect();
     let after = conn.request(r#"{"cmd":"metrics"}"#);
+
+    assert!(cached_flag(&replies[1]), "repeat must hit: {}", replies[1]);
+    let kinds: Vec<String> = replies[2..].iter().map(|r| error_kind(r)).collect();
     assert_eq!(
-        counter(&after, "serve.responses_ok") - ok0,
-        1,
-        "exactly the one workload response counts as ok"
+        kinds,
+        [
+            "bad_request",
+            "unknown_benchmark",
+            "line_too_long",
+            "bad_request",
+            "deadline_exceeded"
+        ]
     );
-    assert_eq!(counter(&after, "serve.responses_err") - err0, 0);
+    let ok_seen = replies.iter().filter(|r| is_ok(r)).count() as u64;
+    assert_eq!(ok_seen, 2);
+    let delta = |name: &str| counter(&after, name) - counter(&before, name);
     assert_eq!(
-        counter(&after, "serve.requests") - req0,
-        1,
+        delta("serve.responses_ok"),
+        ok_seen,
+        "exactly the client's ok replies count as ok"
+    );
+    assert_eq!(delta("serve.responses_err"), 5);
+    assert_eq!(
+        error_causes(&after) - error_causes(&before),
+        delta("serve.responses_err"),
+        "typed error counters must partition serve.responses_err"
+    );
+    assert_eq!(
+        delta("serve.requests"),
+        workload.len() as u64,
         "probes are not workload requests"
     );
     // The four probes plus the `after` metrics call itself (the baseline
     // call's increment is already inside the baseline reading).
-    assert_eq!(counter(&after, "serve.probes") - probes0, 5);
+    assert_eq!(delta("serve.probes"), 5);
     server.stop();
 }
 

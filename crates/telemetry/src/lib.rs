@@ -41,7 +41,6 @@
 //! assert_eq!(buf.counter("work.items"), 3);
 //! ```
 
-mod exposition;
 mod json;
 mod recorder;
 mod registry;
@@ -49,7 +48,6 @@ mod sink;
 mod slo;
 mod span;
 
-pub use exposition::{sanitize_metric_name, to_prometheus};
 pub use recorder::{FlightRecorder, TraceRecord, MAX_TRACE_STAGES};
 pub use registry::{HistogramData, LocalBuffer, Snapshot, TracePoint};
 pub use sink::{Field, Severity};

@@ -637,9 +637,8 @@ impl HybridCoolingModel {
     }
 
     /// Reference solve that reassembles the triplet list and re-sorts it
-    /// into CSR at every call — the pre-skeleton behavior. Kept as the
-    /// baseline for the `sweep_scaling` benchmark and as a cross-check
-    /// that the cached path assembles the same system.
+    /// into CSR at every call — the pre-skeleton behavior. Kept as a
+    /// cross-check that the cached path assembles the same system.
     ///
     /// # Errors
     ///
@@ -711,8 +710,7 @@ impl HybridCoolingModel {
     /// cuts the CG iteration count by roughly an order of magnitude — and
     /// falls back to Jacobi if the factorization breaks down (a TEC fold
     /// can weaken diagonal dominance to a zero pivot). The reference path
-    /// keeps plain Jacobi: it is the defined pre-skeleton baseline for the
-    /// `sweep_scaling` benchmark.
+    /// keeps plain Jacobi: it is the defined pre-skeleton baseline.
     #[expect(
         clippy::too_many_arguments,
         reason = "one steady solve threads every per-call input through"

@@ -95,10 +95,10 @@ impl Default for ReductionOptions {
             basis_tol: 1e-13,
             max_basis: 40,
             // Empirically, ‖r‖/‖b‖ = 1e-4 keeps the max die-temp error at
-            // the 1e-4 K level on the DAC'14 packages (4.4e-4 K max in
-            // BENCH_reduction.json) — over two orders under the 0.1 K
-            // budget — while keeping the fallback rate at zero across
-            // the feasible operating rectangle.
+            // the 1e-4 K level on the DAC'14 packages (4.4e-4 K max, as
+            // the `reduction_accuracy` bin prints it) — over two orders
+            // under the 0.1 K budget — while keeping the fallback rate
+            // at zero across the feasible operating rectangle.
             residual_rtol: 1e-4,
         }
     }
