@@ -5,6 +5,20 @@ set -eu
 # --locked: a Cargo.lock that resolution would have to rewrite, here or
 # in perfbench/, fails the gate instead of being silently rewritten.
 cargo build --release --workspace --locked
+# --locked still accepts a lock with an orphaned entry (a package no
+# manifest names any more), so the root lock must also be a fixed point
+# of resolution: resolve a copy of the tree and compare.
+lockscratch=$(mktemp -d)
+tar --exclude=./.git --exclude=./target --exclude=./perfbench/target \
+    --exclude=./.bench_build --exclude=./.bench_out -cf - . | tar -xf - -C "$lockscratch"
+cargo update --offline --workspace --quiet --manifest-path "$lockscratch/Cargo.toml"
+if ! cmp -s Cargo.lock "$lockscratch/Cargo.lock"; then
+    echo "Cargo.lock differs from what 'cargo update --offline --workspace' resolves:"
+    diff Cargo.lock "$lockscratch/Cargo.lock" || true
+    rm -rf "$lockscratch"
+    exit 1
+fi
+rm -rf "$lockscratch"
 # The benchmark of record (BENCHMARK.json) is a standalone package over
 # the serve, fleet and core APIs: an API change that breaks it fails here.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml

@@ -10,10 +10,18 @@
 //! evaluations the solvers make at the same point. Runaway points
 //! evaluate to `None`, which the solvers treat as prohibitively bad —
 //! the "infinite" region of Figure 6(a)(b).
+//!
+//! A solution that carries exact sensitivities (a reduced solve, see
+//! [`oftec_thermal::ThermalSolution::sensitivities`]) is memoized with
+//! them, and [`NlpProblem::derivatives`] hands them to the solvers,
+//! rescaled to `x`; elsewhere the solvers fall back to central
+//! differences. `problem.gradients.exact` and `problem.gradients.fd`
+//! count which source each gradient came from.
 
-use oftec_optim::NlpProblem;
+use oftec_linalg::Matrix;
+use oftec_optim::{Derivatives, NlpProblem};
 use oftec_telemetry::Counter;
-use oftec_thermal::{CoolingModel, HybridCoolingModel, OperatingPoint};
+use oftec_thermal::{CoolingModel, HybridCoolingModel, OperatingPoint, Sensitivities};
 use oftec_units::{AngularVelocity, Current, Temperature};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +37,9 @@ pub enum CoolingObjective {
     /// bounds only.
     MaxTemperature,
 }
+
+/// TEC current (A) at `x₁ = 1`: the paper's `I_TEC,max`.
+const CURRENT_SCALE_AMPS: f64 = 5.0;
 
 /// Temperature scale (K) used to normalize the thermal constraint.
 const CONSTRAINT_SCALE: f64 = 10.0;
@@ -46,6 +57,8 @@ struct Eval {
     power: Option<f64>,
     /// Max chip temperature in Kelvin; `None` on runaway.
     max_temp: Option<f64>,
+    /// Exact `∂𝒫/∂θ` and `∂𝒯/∂θ`, when the solve carried finite ones.
+    sensitivities: Option<Sensitivities>,
 }
 
 /// Memo cache, behind one mutex so the problem is `Sync` and can be
@@ -79,6 +92,11 @@ pub struct CoolingProblem<'a, M: CoolingModel = HybridCoolingModel> {
     hits: Counter,
     /// Evaluations that had to solve (`problem.cache.misses`).
     misses: Counter,
+    /// Gradients taken from exact sensitivities
+    /// (`problem.gradients.exact`).
+    exact_gradients: Counter,
+    /// Gradients the solvers had to difference (`problem.gradients.fd`).
+    fd_gradients: Counter,
 }
 
 impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
@@ -95,6 +113,8 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
             solves: Counter::new("problem.thermal_solves"),
             hits: Counter::new("problem.cache.hits"),
             misses: Counter::new("problem.cache.misses"),
+            exact_gradients: Counter::new("problem.gradients.exact"),
+            fd_gradients: Counter::new("problem.gradients.fd"),
         }
     }
 
@@ -126,6 +146,24 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
         self.misses.get() as usize
     }
 
+    /// Gradients the solvers took from exact sensitivities.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a gradient count: lossless on 64-bit targets, and no run reaches 2^32"
+    )]
+    pub fn exact_gradients(&self) -> usize {
+        self.exact_gradients.get() as usize
+    }
+
+    /// Gradients the solvers had to take by central differences.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a gradient count: lossless on 64-bit targets, and no run reaches 2^32"
+    )]
+    pub fn fd_gradients(&self) -> usize {
+        self.fd_gradients.get() as usize
+    }
+
     /// The most recent model fault seen at the evaluation boundary: a
     /// caught panic, a non-runaway solver error, or a non-finite screen.
     /// `None` if every evaluation so far was clean or plain runaway.
@@ -147,7 +185,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
     pub fn operating_point(&self, x: &[f64]) -> OperatingPoint {
         let fan = self.model.config().fan.omega_max * x[0].clamp(0.0, 1.0);
         let current = if self.with_tec {
-            Current::from_amperes(5.0 * x[1].clamp(0.0, 1.0))
+            Current::from_amperes(CURRENT_SCALE_AMPS * x[1].clamp(0.0, 1.0))
         } else {
             Current::ZERO
         };
@@ -158,7 +196,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
     pub fn scale_point(&self, op: OperatingPoint) -> Vec<f64> {
         let w = op.fan_speed.rad_per_s() / self.model.config().fan.omega_max.rad_per_s();
         if self.with_tec {
-            vec![w, op.tec_current.amperes() / 5.0]
+            vec![w, op.tec_current.amperes() / CURRENT_SCALE_AMPS]
         } else {
             vec![w]
         }
@@ -198,6 +236,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
         let bad = Eval {
             power: None,
             max_temp: None,
+            sensitivities: None,
         };
         let eval = match catch_unwind(AssertUnwindSafe(|| self.model.solve(op))) {
             Ok(Ok(sol)) => {
@@ -207,6 +246,16 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
                     Eval {
                         power: Some(power),
                         max_temp: Some(max_temp),
+                        sensitivities: sol.sensitivities().filter(|s| {
+                            [
+                                s.power_d_omega,
+                                s.power_d_current,
+                                s.max_temp_d_omega,
+                                s.max_temp_d_current,
+                            ]
+                            .iter()
+                            .all(|v| v.is_finite())
+                        }),
                     }
                 } else {
                     oftec_telemetry::counter_add("problem.non_finite", 1);
@@ -334,6 +383,41 @@ impl<M: CoolingModel> NlpProblem for CoolingProblem<'_, M> {
                 .map(|t| vec![(self.t_max.kelvin() - T_MAX_MARGIN_KELVIN - t) / CONSTRAINT_SCALE]),
         }
     }
+
+    /// The memoized sensitivities, chained through the scaling
+    /// `ω = ω_max·x₀`, `I = CURRENT_SCALE_AMPS·x₁`.
+    fn derivatives(&self, x: &[f64]) -> Option<Derivatives> {
+        let Some(s) = self.evaluate(x).sensitivities else {
+            self.fd_gradients.add(1);
+            return None;
+        };
+        self.exact_gradients.add(1);
+        let omega_max = self.omega_max().rad_per_s();
+        let dim = self.dim();
+        let power = [
+            s.power_d_omega * omega_max,
+            s.power_d_current * CURRENT_SCALE_AMPS,
+        ];
+        let temp = [
+            s.max_temp_d_omega * omega_max,
+            s.max_temp_d_current * CURRENT_SCALE_AMPS,
+        ];
+        let (gradient, jacobian) = match self.objective {
+            CoolingObjective::Power => (
+                power[..dim].to_vec(),
+                Matrix::from_vec(
+                    1,
+                    dim,
+                    temp[..dim].iter().map(|t| -t / CONSTRAINT_SCALE).collect(),
+                ),
+            ),
+            CoolingObjective::MaxTemperature => (
+                temp[..dim].iter().map(|t| t / CONSTRAINT_SCALE).collect(),
+                Matrix::zeros(0, dim),
+            ),
+        };
+        Some(Derivatives { gradient, jacobian })
+    }
 }
 
 #[cfg(test)]
@@ -425,6 +509,29 @@ mod tests {
         // state (classified by cap or non-PD).
         let f = p.objective(&[0.0, 0.3]);
         assert!(f.is_none(), "expected runaway at ω = 0, got {f:?}");
+    }
+
+    #[test]
+    fn gradients_come_from_sensitivities_where_the_model_has_them() {
+        let s = system();
+        let opts = oftec_optim::SolveOptions {
+            max_iterations: 60,
+            tolerance: 1e-6,
+        };
+        let sqp = oftec_optim::ActiveSetSqp::default();
+        let reduced = s.reduced_tec_model();
+        let fast = CoolingProblem::new(&reduced, CoolingObjective::Power, s.t_max());
+        let exact = sqp.solve(&fast, &[0.5, 0.5], &opts).unwrap();
+        assert!(fast.exact_gradients() > 0);
+        assert_eq!(fast.fd_gradients(), 0);
+
+        let full = CoolingProblem::new(s.tec_model(), CoolingObjective::Power, s.t_max());
+        let differenced = sqp.solve(&full, &[0.5, 0.5], &opts).unwrap();
+        assert_eq!(full.exact_gradients(), 0);
+        assert!(full.fd_gradients() > 0);
+
+        assert!((exact.objective - differenced.objective).abs() < 1e-3 * differenced.objective);
+        assert!(fast.thermal_solves() < full.thermal_solves());
     }
 
     #[test]

@@ -107,6 +107,50 @@ impl CholeskyFactor {
         Ok(x)
     }
 
+    /// Solves `A·x = b` for two right-hand sides at once, in place, with
+    /// the arithmetic of two [`CholeskyFactor::solve`] calls (same bits),
+    /// interleaved so the two substitutions overlap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if either slice's length
+    /// differs from [`CholeskyFactor::dim`].
+    pub fn solve_pair_in_place(&self, x: &mut [f64], y: &mut [f64]) -> Result<(), LinalgError> {
+        let n = self.dim();
+        for len in [x.len(), y.len()] {
+            if len != n {
+                return Err(LinalgError::DimensionMismatch(n, len));
+            }
+        }
+        let l = self.l.as_slice();
+        // L·u = b, along the rows of L.
+        for i in 0..n {
+            let (x_done, x_rest) = x.split_at_mut(i);
+            let (y_done, y_rest) = y.split_at_mut(i);
+            let (mut sx, mut sy) = (x_rest[0], y_rest[0]);
+            for ((&a, &xj), &yj) in l[i * n..i * n + i].iter().zip(&*x_done).zip(&*y_done) {
+                sx -= a * xj;
+                sy -= a * yj;
+            }
+            x_rest[0] = sx / l[i * n + i];
+            y_rest[0] = sy / l[i * n + i];
+        }
+        // Lᵀ·x = u, down the columns of L.
+        for i in (0..n).rev() {
+            let (x_head, x_done) = x.split_at_mut(i + 1);
+            let (y_head, y_done) = y.split_at_mut(i + 1);
+            let (mut sx, mut sy) = (x_head[i], y_head[i]);
+            let column = l.iter().skip((i + 1) * n + i).step_by(n);
+            for ((&a, &xj), &yj) in column.zip(&*x_done).zip(&*y_done) {
+                sx -= a * xj;
+                sy -= a * yj;
+            }
+            x_head[i] = sx / l[i * n + i];
+            y_head[i] = sy / l[i * n + i];
+        }
+        Ok(())
+    }
+
     /// Determinant of `A` (square of the product of L's diagonal).
     pub fn determinant(&self) -> f64 {
         let mut d = 1.0;
@@ -161,6 +205,26 @@ mod tests {
             CholeskyFactor::new(&a).unwrap_err(),
             LinalgError::NotPositiveDefinite(0)
         );
+    }
+
+    #[test]
+    fn pair_solve_matches_two_solves_bit_for_bit() {
+        let a = Matrix::from_rows(&[
+            &[4.0, 1.0, 0.5, 0.2],
+            &[1.0, 3.0, 0.3, 0.1],
+            &[0.5, 0.3, 2.5, 0.7],
+            &[0.2, 0.1, 0.7, 1.9],
+        ]);
+        let chol = CholeskyFactor::new(&a).unwrap();
+        let (b, c) = ([1.0, -2.0, 0.3, 7.0], [0.1, 0.2, -5.0, 1e-3]);
+        let (mut x, mut y) = (b, c);
+        chol.solve_pair_in_place(&mut x, &mut y).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&chol.solve(&b).unwrap()));
+        assert_eq!(bits(&y), bits(&chol.solve(&c).unwrap()));
+        assert!(chol
+            .solve_pair_in_place(&mut [0.0; 4], &mut [0.0; 3])
+            .is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Logarithmic-barrier interior-point method — one of the two
 //! alternatives the paper benchmarked against active-set SQP (§5.2).
 
+use crate::numdiff::gradient;
 use crate::problem::PENALTY_OBJECTIVE;
 use crate::{
-    backtrack, central_gradient, damped_bfgs_update, NlpProblem, OptimError, SolveOptions,
-    SolveResult,
+    backtrack, damped_bfgs_update, Derivatives, NlpProblem, OptimError, SolveOptions, SolveResult,
 };
 use oftec_linalg::{solve_dense_chain, vector, Matrix};
 
@@ -104,6 +104,33 @@ impl InteriorPoint {
             }
         };
 
+        // ∇B = ∇f − μ·Σ ∇c_j/c_j − μ·Σ_i (1/(x_i − lo_i) − 1/(hi_i − x_i))·e_i
+        // from exact derivatives; otherwise B itself is differenced.
+        let barrier_gradient = |p: &[f64], mu: f64, evals: &mut usize| {
+            let exact = |d: Derivatives| {
+                let mut g = d.gradient;
+                for (j, cj) in problem.constraints_or_penalty(p).iter().enumerate() {
+                    for (gk, ajk) in g.iter_mut().zip(d.jacobian.row(j)) {
+                        *gk -= mu * ajk / cj;
+                    }
+                }
+                for (i, gi) in g.iter_mut().enumerate() {
+                    *gi -= mu * (1.0 / (p[i] - lo[i]) - 1.0 / (hi[i] - p[i]));
+                }
+                g
+            };
+            gradient(
+                problem,
+                p,
+                &lo,
+                &hi,
+                PENALTY_OBJECTIVE,
+                evals,
+                |q| Some(barrier(q, mu)),
+                exact,
+            )
+        };
+
         let mut mu = self.mu0;
         let mut total_iters = 0usize;
         let mut converged = false;
@@ -111,14 +138,7 @@ impl InteriorPoint {
             // BFGS on the barrier subproblem.
             let mut b = Matrix::identity(n);
             let mut fx = barrier(&x, mu);
-            let mut g = central_gradient(
-                |p| Some(barrier(p, mu)),
-                &x,
-                &lo,
-                &hi,
-                PENALTY_OBJECTIVE,
-                &mut evals,
-            );
+            let mut g = barrier_gradient(&x, mu, &mut evals);
             for _ in 0..self.inner_iterations {
                 total_iters += 1;
                 // Newton-like direction d = −B⁻¹ g.
@@ -141,14 +161,7 @@ impl InteriorPoint {
                 }
                 let step: Vec<f64> = dir.iter().map(|&v| alpha * v).collect();
                 let x_new: Vec<f64> = x.iter().zip(&step).map(|(a, s)| a + s).collect();
-                let g_new = central_gradient(
-                    |p| Some(barrier(p, mu)),
-                    &x_new,
-                    &lo,
-                    &hi,
-                    PENALTY_OBJECTIVE,
-                    &mut evals,
-                );
+                let g_new = barrier_gradient(&x_new, mu, &mut evals);
                 let y = vector::sub(&g_new, &g);
                 damped_bfgs_update(&mut b, &step, &y);
                 x = x_new;

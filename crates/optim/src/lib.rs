@@ -64,8 +64,8 @@ pub use gridsearch::GridSearch;
 pub use interior::InteriorPoint;
 pub use linesearch::backtrack;
 pub use multistart::{grid_starts, multistart};
-pub use numdiff::{central_gradient, forward_gradient};
-pub use problem::{unconstrained, FnProblem, NlpProblem, PENALTY_OBJECTIVE};
+pub use numdiff::central_gradient;
+pub use problem::{unconstrained, Derivatives, FnProblem, NlpProblem, PENALTY_OBJECTIVE};
 pub use qp::{solve_qp, QpError};
 pub use sqp::ActiveSetSqp;
 pub use trustregion::TrustRegion;
@@ -123,7 +123,7 @@ pub struct SolveResult {
     /// Outer iterations performed.
     pub iterations: usize,
     /// Objective/constraint evaluations consumed (including those spent on
-    /// finite-difference gradients).
+    /// finite-difference gradients; exact derivatives cost none).
     pub evaluations: usize,
     /// `true` if a convergence test was met (as opposed to hitting the
     /// iteration cap or an early-stop predicate).

@@ -1,5 +1,7 @@
 //! The problem abstraction shared by every solver.
 
+use oftec_linalg::Matrix;
+
 /// Objective value substituted for failed evaluations (thermal runaway in
 /// OFTEC's case). Large enough that any merit/penalty comparison rejects
 /// the point, small enough to keep arithmetic finite.
@@ -30,6 +32,13 @@ pub trait NlpProblem {
     /// evaluation failure. Must have length [`NlpProblem::n_constraints`].
     fn constraints(&self, _x: &[f64]) -> Option<Vec<f64>> {
         Some(Vec::new())
+    }
+
+    /// Exact first derivatives at `x`, when the problem can supply them.
+    /// `None` (the default) makes the solvers difference
+    /// [`NlpProblem::objective`] and [`NlpProblem::constraints`] instead.
+    fn derivatives(&self, _x: &[f64]) -> Option<Derivatives> {
+        None
     }
 
     /// Objective with the failure penalty substituted.
@@ -65,6 +74,16 @@ pub trait NlpProblem {
                 .constraints(x)
                 .is_some_and(|c| c.iter().all(|&ci| ci >= -tol))
     }
+}
+
+/// Exact first derivatives of a problem at one point.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Derivatives {
+    /// `∇f(x)`, one entry per decision variable.
+    pub gradient: Vec<f64>,
+    /// The constraint Jacobian: row `j` is `∇c_j(x)`
+    /// ([`NlpProblem::n_constraints`] × [`NlpProblem::dim`]).
+    pub jacobian: Matrix,
 }
 
 /// A closure-backed [`NlpProblem`], convenient for tests and ad-hoc

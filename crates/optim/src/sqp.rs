@@ -1,10 +1,11 @@
 //! Active-set sequential quadratic programming — the method the paper
 //! selects for OFTEC (§5.2).
 
+use crate::numdiff::gradient;
 use crate::problem::PENALTY_OBJECTIVE;
 use crate::{
-    backtrack, central_gradient, damped_bfgs_update, non_finite_error, solve_qp, IterSample,
-    NlpProblem, OptimError, QpError, SolveOptions, SolveResult,
+    backtrack, damped_bfgs_update, non_finite_error, solve_qp, IterSample, NlpProblem, OptimError,
+    QpError, SolveOptions, SolveResult,
 };
 use oftec_linalg::{vector, Matrix};
 use oftec_telemetry as telemetry;
@@ -19,8 +20,8 @@ fn max_violation(c: &[f64]) -> f64 {
 /// Each iteration linearizes the constraints, models the Lagrangian with a
 /// damped-BFGS quadratic, solves the resulting inequality-constrained QP
 /// with a primal active-set method, and globalizes with a backtracking
-/// line search on the ℓ₁ merit function. Gradients are finite differences
-/// (the paper's objective is only available numerically).
+/// line search on the ℓ₁ merit function. Gradients are the problem's
+/// exact derivatives where it has them, central differences elsewhere.
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveSetSqp {
     /// Armijo sufficient-decrease parameter.
@@ -51,7 +52,7 @@ impl ActiveSetSqp {
     ///   (the box projection of) `x0`.
     /// - [`OptimError::Subproblem`] if the QP solver fails irrecoverably.
     /// - [`OptimError::NonFinite`] if the objective, a constraint, or a
-    ///   finite-difference gradient evaluates to NaN/inf — the solver
+    ///   gradient evaluates to NaN/inf — the solver
     ///   refuses to iterate on garbage.
     #[must_use = "the solve outcome (including failure) is in the Result"]
     pub fn solve<P: NlpProblem>(
@@ -150,23 +151,27 @@ impl ActiveSetSqp {
             telemetry::counter_add("sqp.iterations", 1);
 
             // Gradients at the current iterate.
-            let grad_f = central_gradient(
-                |p| problem.objective(p),
+            let grad_f = gradient(
+                problem,
                 &x,
                 &lo,
                 &hi,
                 PENALTY_OBJECTIVE,
                 &mut evals,
+                |p| problem.objective(p),
+                |d| d.gradient,
             );
             let mut jac = Matrix::zeros(m, n);
             for j in 0..m {
-                let gj = central_gradient(
-                    |p| problem.constraints(p).map(|cv| cv[j]),
+                let gj = gradient(
+                    problem,
                     &x,
                     &lo,
                     &hi,
                     -PENALTY_OBJECTIVE,
                     &mut evals,
+                    |p| problem.constraints(p).map(|cv| cv[j]),
+                    |d| d.jacobian.row(j).to_vec(),
                 );
                 for (col, &v) in gj.iter().enumerate() {
                     jac[(j, col)] = v;

@@ -1,10 +1,9 @@
 //! Quadratic-penalty trust-region method — the paper's other benchmarked
 //! alternative (§5.2).
 
+use crate::numdiff::gradient;
 use crate::problem::PENALTY_OBJECTIVE;
-use crate::{
-    central_gradient, damped_bfgs_update, NlpProblem, OptimError, SolveOptions, SolveResult,
-};
+use crate::{damped_bfgs_update, Derivatives, NlpProblem, OptimError, SolveOptions, SolveResult};
 use oftec_linalg::{solve_dense_chain, vector, Matrix};
 
 /// Trust-region solver on the quadratic-penalty function
@@ -71,6 +70,31 @@ impl TrustRegion {
                     .sum::<f64>()
         };
 
+        // ∇F = ∇f − 2ρ·Σ max(0, −c_j)·∇c_j from exact derivatives;
+        // otherwise F itself is differenced.
+        let penalty_gradient = |p: &[f64], evals: &mut usize| {
+            let exact = |d: Derivatives| {
+                let mut g = d.gradient;
+                for (j, cj) in problem.constraints_or_penalty(p).iter().enumerate() {
+                    let w = 2.0 * self.rho * (-cj).max(0.0);
+                    for (gk, ajk) in g.iter_mut().zip(d.jacobian.row(j)) {
+                        *gk -= w * ajk;
+                    }
+                }
+                g
+            };
+            gradient(
+                problem,
+                p,
+                &lo,
+                &hi,
+                PENALTY_OBJECTIVE,
+                evals,
+                |q| Some(penalty(q)),
+                exact,
+            )
+        };
+
         let mut evals = 0usize;
         let mut x = x0.to_vec();
         problem.project(&mut x);
@@ -81,14 +105,7 @@ impl TrustRegion {
                 "penalty function fails at the starting point".into(),
             ));
         }
-        let mut g = central_gradient(
-            |p| Some(penalty(p)),
-            &x,
-            &lo,
-            &hi,
-            PENALTY_OBJECTIVE,
-            &mut evals,
-        );
+        let mut g = penalty_gradient(&x, &mut evals);
         let mut b = Matrix::identity(n);
         let mut converged = false;
         let mut iterations = 0;
@@ -146,14 +163,7 @@ impl TrustRegion {
             }
 
             if ratio > self.eta && actual > 0.0 {
-                let g_new = central_gradient(
-                    |p| Some(penalty(p)),
-                    &trial,
-                    &lo,
-                    &hi,
-                    PENALTY_OBJECTIVE,
-                    &mut evals,
-                );
+                let g_new = penalty_gradient(&trial, &mut evals);
                 let y = vector::sub(&g_new, &g);
                 damped_bfgs_update(&mut b, &actual_step, &y);
                 x = trial;

@@ -458,7 +458,7 @@ impl Engine {
         let delta = oftec_thermal::probe::snapshot().since(&before);
         let path = if delta.fallbacks > 0 {
             "fallback"
-        } else if delta.reduced > 0 {
+        } else if delta.reduced > 0 || delta.runaway_certified > 0 {
             "reduced"
         } else {
             "full"

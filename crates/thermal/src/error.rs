@@ -23,6 +23,11 @@ pub enum ThermalError {
     NonFinite(String),
 }
 
+/// How the full path reports a folded matrix that is not positive
+/// definite: CG meets negative curvature. The reduced path returns the
+/// same error when its projected system proves the indefiniteness.
+pub(crate) const NEGATIVE_CURVATURE: &str = "negative curvature in the folded network matrix";
+
 impl core::fmt::Display for ThermalError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -52,7 +57,7 @@ impl From<LinalgError> for ThermalError {
                 ThermalError::Runaway("thermal network matrix is not positive definite")
             }
             LinalgError::Breakdown("non-positive curvature in CG") => {
-                ThermalError::Runaway("negative curvature in the folded network matrix")
+                ThermalError::Runaway(NEGATIVE_CURVATURE)
             }
             LinalgError::Singular(_) => ThermalError::Runaway("thermal network matrix is singular"),
             LinalgError::NonFinite(what) => ThermalError::NonFinite(what.to_string()),

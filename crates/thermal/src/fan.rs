@@ -68,6 +68,23 @@ impl FanModel {
         ThermalConductance::from_w_per_k(fitted.max(self.g_hs_still))
     }
 
+    /// `dP_fan/dω = 3c·ω²` (W per rad/s).
+    pub fn power_slope(&self, omega: AngularVelocity) -> f64 {
+        let w = omega.rad_per_s();
+        3.0 * self.c * w * w
+    }
+
+    /// `dg/dω` of [`FanModel::conductance`] (W/K per rad/s): `p/ω` where
+    /// the fit is above the still-air clamp, 0 where the clamp holds.
+    pub fn conductance_slope(&self, omega: AngularVelocity) -> f64 {
+        let w = omega.rad_per_s();
+        if w > 0.0 && self.p * (self.q * w).ln() + self.r > self.g_hs_still {
+            self.p / w
+        } else {
+            0.0
+        }
+    }
+
     /// The speed below which Eq. (9) is clamped to the still-air
     /// conductance.
     pub fn clamp_speed(&self) -> AngularVelocity {
@@ -148,6 +165,24 @@ mod tests {
             assert!(g >= last);
             last = g;
         }
+    }
+
+    #[test]
+    fn slopes_match_central_differences() {
+        let f = FanModel::dac14();
+        for rpm in [800.0, 2000.0, 4999.0] {
+            let w = AngularVelocity::from_rpm(rpm).rad_per_s();
+            let h = 1e-4 * w;
+            let at = AngularVelocity::from_rad_per_s;
+            let dg = (f.conductance(at(w + h)).w_per_k() - f.conductance(at(w - h)).w_per_k())
+                / (2.0 * h);
+            let dp = (f.power(at(w + h)).watts() - f.power(at(w - h)).watts()) / (2.0 * h);
+            assert!((f.conductance_slope(at(w)) - dg).abs() <= 1e-6 * dg);
+            assert!((f.power_slope(at(w)) - dp).abs() <= 1e-6 * dp);
+        }
+        assert_eq!(f.conductance_slope(f.clamp_speed() * 0.99), 0.0);
+        assert_eq!(f.conductance_slope(AngularVelocity::ZERO), 0.0);
+        assert_eq!(f.power_slope(AngularVelocity::ZERO), 0.0);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use lumped::{LumpedModel, LumpedSolution};
 pub use model::{HybridCoolingModel, OperatingPoint};
 pub use nonlinear::NonlinearOptions;
 pub use reduction::{ReducedCoolingModel, ReducedModel, ReductionOptions};
-pub use solution::{PowerBreakdown, ThermalSolution};
+pub use solution::{PowerBreakdown, Sensitivities, ThermalSolution};
 pub use stack::{LayerRole, LayerSpec};
 pub use traits::CoolingModel;
 pub use transient::{TransientOptions, TransientTrace};

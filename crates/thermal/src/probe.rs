@@ -22,6 +22,9 @@ pub struct SolveProbe {
     pub reduced: u64,
     /// Reduced attempts that failed certification and fell back.
     pub fallbacks: u64,
+    /// Reduced attempts whose projected system proved runaway, answered
+    /// with the full path's error and no full solve.
+    pub runaway_certified: u64,
     /// Residual-ratio observations (one per certified reduced solve).
     pub residual_events: u64,
     /// Most recent certified residual ratio `‖r‖ / max(‖b‖, ε)`.
@@ -37,6 +40,7 @@ impl SolveProbe {
         Self {
             reduced: 0,
             fallbacks: 0,
+            runaway_certified: 0,
             residual_events: 0,
             last_residual: 0.0,
         }
@@ -49,6 +53,9 @@ impl SolveProbe {
         Self {
             reduced: self.reduced.wrapping_sub(earlier.reduced),
             fallbacks: self.fallbacks.wrapping_sub(earlier.fallbacks),
+            runaway_certified: self
+                .runaway_certified
+                .wrapping_sub(earlier.runaway_certified),
             residual_events: self.residual_events.wrapping_sub(earlier.residual_events),
             last_residual: self.last_residual,
         }
@@ -80,6 +87,15 @@ pub(crate) fn note_fallback() {
     });
 }
 
+/// Records one runaway verdict certified by the reduced path.
+pub(crate) fn note_runaway() {
+    PROBE.with(|p| {
+        let mut v = p.get();
+        v.runaway_certified += 1;
+        p.set(v);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,9 +106,11 @@ mod tests {
         note_reduced(1.5e-6);
         note_reduced(2.5e-6);
         note_fallback();
+        note_runaway();
         let delta = snapshot().since(&before);
         assert_eq!(delta.reduced, 2);
         assert_eq!(delta.fallbacks, 1);
+        assert_eq!(delta.runaway_certified, 1);
         assert_eq!(delta.residual_events, 2);
         assert!((delta.last_residual - 2.5e-6).abs() < 1e-18);
     }

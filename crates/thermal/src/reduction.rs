@@ -45,20 +45,38 @@
 //! [`ThermalSolution::node_temperatures`] expands the full field from `y`
 //! and the shared basis on first use, with the same per-node sums.
 //!
-//! Any violation — residual, indefiniteness of the projected system,
-//! unphysical or non-finite temperatures — falls back to the full solve
-//! through the degradation machinery (`reduction.fallbacks` counter +
-//! `Warn` event), which also classifies true thermal runaway correctly;
-//! the reduced path never claims a runaway itself because positive
-//! definiteness of the projected `k×k` system does not certify the full
-//! matrix.
+//! An accepted solution also carries its exact sensitivities
+//! ([`ThermalSolution::sensitivities`]): differentiating `K(θ)·y = c(θ)`
+//! gives `∂y/∂ω = K⁻¹·g′(ω)(c_fan − M_fan·y)` and
+//! `∂y/∂I = K⁻¹(2I·c_joule − M_tec·y)`, two more triangular solves on the
+//! Cholesky factor already at hand. `∂𝒯/∂θ` is the hottest die cell's
+//! basis row times `∂y/∂θ`; `∂𝒫/∂θ` adds the leakage slope `Σ_c a_c·V_c`
+//! and the TEC rows' `Σ_c α_c(V_rej − V_abs)` (two build-time `k`-vectors)
+//! times `∂y/∂θ`, the product rule on `I·Σα·ΔT`, `2I·ΣR` and the fan law.
+//!
+//! A projected system that is not positive definite can prove runaway:
+//! `VᵀA(θ)V` is the restriction of `A(θ)` to the basis, so a `u` with
+//! `uᵀ(VᵀA(θ)V)u < 0` makes `x = V·u` a direction of negative curvature of
+//! the full matrix. The witness is the projected matrix's smallest
+//! eigenvector; it counts only when `uᵀM̂u` clears a margin that bounds
+//! every rounding between the computed `M̂` and the exact projection
+//! (`reduction.runaway_certified`). The reduced path then returns the
+//! error the full path's CG reports at such points,
+//! `Runaway("negative curvature in the folded network matrix")`, without
+//! a full solve.
+//!
+//! Any other violation — residual, an inconclusive witness, unphysical
+//! or non-finite temperatures — falls back to the full solve through the
+//! degradation machinery (`reduction.fallbacks` counter + `Warn` event).
+//! A positive definite projection certifies nothing about the full
+//! matrix, so every runaway the witness misses is classified there.
 //!
 //! All of this is sequential, fixed-order arithmetic: results are
 //! bit-identical at any `OFTEC_THREADS`.
 
-use crate::error::ThermalError;
+use crate::error::{ThermalError, NEGATIVE_CURVATURE};
 use crate::model::{HybridCoolingModel, OperatingPoint};
-use crate::solution::{NodeField, ThermalSolution};
+use crate::solution::{NodeField, Sensitivities, ThermalSolution};
 use crate::traits::CoolingModel;
 use crate::transient::{TransientOptions, TransientTrace};
 use oftec_linalg::{sym_eigen, vector, CholeskyFactor, EigenParams, Matrix};
@@ -153,6 +171,15 @@ impl ModalBasis {
         out
     }
 
+    /// `Σ_j V_node,j·v_j`: node `node`'s basis row times `v`.
+    fn row_dot(&self, node: usize, v: &[f64]) -> f64 {
+        self.modes
+            .iter()
+            .zip(v)
+            .map(|(mode, vj)| mode[node] * vj)
+            .sum()
+    }
+
     /// The full field `V·y`.
     pub(crate) fn expand(&self, y: &[f64]) -> Vec<f64> {
         self.rows(0, self.n, y)
@@ -173,6 +200,26 @@ impl ModalBasis {
         let margin = 4.0 * (self.modes.len() + 1) as f64 * f64::EPSILON * mag;
         (lo - margin, hi + margin)
     }
+}
+
+/// Index of the first maximum of `temps` (finite). Four running maxima
+/// break the compare chain, then one scan finds the first match.
+fn hottest(temps: &[f64]) -> usize {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let quads = temps.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (lane, &t) in lanes.iter_mut().zip(quad) {
+            if t > *lane {
+                *lane = t;
+            }
+        }
+    }
+    let max = lanes
+        .iter()
+        .chain(tail)
+        .fold(f64::NEG_INFINITY, |m, &t| if t > m { t } else { m });
+    temps.iter().position(|&t| t >= max).unwrap_or(0)
 }
 
 /// The full path's physical screens, node by node, in its order.
@@ -277,6 +324,15 @@ pub struct ReducedModel {
     /// Householder `R` of `W = [A₀V, D_fan V, D_tec V, b₀, f_fan, f_joule]`,
     /// by column.
     residual_r: Vec<Vec<f64>>,
+    /// `Σ_c a_c·V_c` over die cells: `∂P_leak/∂y`.
+    leak_row: Vec<f64>,
+    /// `Σ_c α_c·(V_rej,c − V_abs,c)` over TEC-covered cells: `∂(Σα·ΔT)/∂y`.
+    tec_row: Vec<f64>,
+    /// `Σ_c R_c` over TEC-covered cells (Ω): `P_Joule = ΣR·I²`.
+    joule_r: f64,
+    /// `max_ij (|V|ᵀ|B||V|)_ij` for `B = A₀, D_fan, D_tec`: scales the
+    /// rounding margin of the runaway witness.
+    block_scale: [f64; 3],
     /// Fan-coupled sink nodes, for the diagonal screen.
     fan: Vec<FanNode>,
     /// TEC-covered die cells, for the diagonal screen.
@@ -336,16 +392,77 @@ impl ReducedModel {
         (vector::norm2(&rz), vector::norm2(&rb))
     }
 
-    /// One reduced evaluation; `Err` carries the reject reason and means
-    /// the caller must run the full solve instead.
+    /// Whether the folded projection `m = M̂(θ)` proves `A(θ)` indefinite.
+    /// The witness `u` is `m`'s smallest eigenvector. Each entry of `M̂`
+    /// is within `γ·(s₀ + g·s_fan + |I|·s_tec)` of the exact `VᵀA(θ)V`
+    /// (dot products of at most `n` terms, one SpMV row, the fold and the
+    /// full path's own diagonal fold, with `γ` over-covering their `γ_m`
+    /// constants), and the form `uᵀM̂u` adds at most `k²` more roundings,
+    /// so `uᵀM̂u < −margin·‖u‖₁²` gives `(V·u)ᵀA(θ)(V·u) < 0`.
+    fn proves_indefinite(&self, m: &Matrix, fan_g: f64, i_tec: f64) -> bool {
+        let Ok((_, vectors)) = sym_eigen(m, &EigenParams::default()) else {
+            return false;
+        };
+        let k = m.rows();
+        let u: Vec<f64> = (0..k).map(|i| vectors[(i, k - 1)]).collect();
+        let curvature = vector::dot(&u, &m.matvec(&u));
+        let l1: f64 = u.iter().map(|v| v.abs()).sum();
+        let [s0, s_fan, s_tec] = self.block_scale;
+        let gamma = (2 * (self.basis.nodes() + k * k) + 16) as f64 * f64::EPSILON;
+        let margin = gamma * (s0 + fan_g * s_fan + i_tec.abs() * s_tec);
+        curvature < -margin * l1 * l1
+    }
+
+    /// `∂𝒫/∂θ` and `∂𝒯/∂θ` at the accepted point `y` (see the module
+    /// doc); `chip` holds the die cells rebuilt from `y`.
+    fn sensitivities(
+        &self,
+        model: &HybridCoolingModel,
+        op: OperatingPoint,
+        chol: &CholeskyFactor,
+        y: &[f64],
+        chip: &[f64],
+    ) -> Result<Sensitivities, &'static str> {
+        let fan = &model.config().fan;
+        let i_tec = op.tec_current.amperes();
+        let g_slope = fan.conductance_slope(op.fan_speed);
+        let k = y.len();
+        let mut dy = vec![0.0; 2 * k];
+        let (dy_omega, dy_current) = dy.split_at_mut(k);
+        for i in 0..k {
+            dy_omega[i] = g_slope * (self.c_fan[i] - vector::dot(self.m_fan.row(i), y));
+            dy_current[i] = 2.0 * i_tec * self.c_joule[i] - vector::dot(self.m_tec.row(i), y);
+        }
+        chol.solve_pair_in_place(dy_omega, dy_current)
+            .map_err(|_| "projected solve failed")?;
+
+        let (start, _) = model.chip_range();
+        let hot = start + hottest(chip);
+        let leak_omega = vector::dot(&self.leak_row, dy_omega);
+        let leak_current = vector::dot(&self.leak_row, dy_current);
+        let tec_omega = i_tec * vector::dot(&self.tec_row, dy_omega);
+        let tec_current = vector::dot(&self.tec_row, y)
+            + i_tec * vector::dot(&self.tec_row, dy_current)
+            + 2.0 * i_tec * self.joule_r;
+        Ok(Sensitivities {
+            power_d_omega: leak_omega + tec_omega + fan.power_slope(op.fan_speed),
+            power_d_current: leak_current + tec_current,
+            max_temp_d_omega: self.basis.row_dot(hot, dy_omega),
+            max_temp_d_current: self.basis.row_dot(hot, dy_current),
+        })
+    }
+
+    /// One reduced evaluation. `Err(Reject::Runaway)` is the full path's
+    /// runaway verdict, proved on the projection; `Err(Reject::Fallback)`
+    /// carries the reason the caller must run the full solve instead.
     fn try_solve(
         &self,
         model: &HybridCoolingModel,
         op: OperatingPoint,
-    ) -> Result<ThermalSolution, &'static str> {
+    ) -> Result<ThermalSolution, Reject> {
         let fan_g = model.config().fan.conductance(op.fan_speed).w_per_k();
         if !fan_g.is_finite() || fan_g < 0.0 {
-            return Err("non-finite fan conductance");
+            return Err(Reject::Fallback("non-finite fan conductance"));
         }
         let i_tec = op.tec_current.amperes();
 
@@ -363,7 +480,7 @@ impl ReducedModel {
                 (c.abs_diag + c.alpha * i_tec <= 0.0) | (c.rej_diag - c.alpha * i_tec <= 0.0);
         }
         if non_positive {
-            return Err("non-positive folded diagonal");
+            return Err(Reject::Fallback("non-positive folded diagonal"));
         }
 
         // Fold the k×k projected system.
@@ -377,33 +494,55 @@ impl ReducedModel {
             *cj += fan_g * self.c_fan[j] + i_tec * i_tec * self.c_joule[j];
         }
 
-        let chol = CholeskyFactor::new(&m).map_err(|_| "projected system not positive definite")?;
-        let y = chol.solve(&c).map_err(|_| "projected solve failed")?;
+        let Ok(chol) = CholeskyFactor::new(&m) else {
+            return Err(if self.proves_indefinite(&m, fan_g, i_tec) {
+                Reject::Runaway
+            } else {
+                Reject::Fallback("projected system not positive definite")
+            });
+        };
+        let y = chol
+            .solve(&c)
+            .map_err(|_| Reject::Fallback("projected solve failed"))?;
 
         let cap = model.config().runaway_cap.kelvin();
-        self.screen(&y, cap)?;
+        self.screen(&y, cap).map_err(Reject::Fallback)?;
 
         // Residual certificate against the FULL operator.
         let (r_norm, b_norm) = self.residual_norms(&y, fan_g, i_tec);
         if !r_norm.is_finite()
             || r_norm > self.options.residual_rtol * b_norm.max(f64::MIN_POSITIVE)
         {
-            return Err("reduced residual above tolerance");
+            return Err(Reject::Fallback("reduced residual above tolerance"));
         }
 
+        let (start, cells) = model.chip_range();
+        let chip = self.basis.rows(start, cells, &y);
+        let sensitivities = self
+            .sensitivities(model, op, &chol, &y, &chip)
+            .map_err(Reject::Fallback)?;
         crate::probe::note_reduced(r_norm / b_norm.max(f64::MIN_POSITIVE));
         telemetry::counter_add("reduction.solves", 1);
-        let (start, cells) = model.chip_range();
         let field = NodeField::Modal {
-            chip: self.basis.rows(start, cells, &y),
-            y,
+            chip,
+            y: y.into_boxed_slice(),
             basis: Arc::clone(&self.basis),
             full: OnceLock::new(),
+            sensitivities: Box::new(sensitivities),
         };
         // The reduced path performs no Krylov iterations; 0 is its
         // distinctive iteration count.
         Ok(model.package_solution(op, field, model.cell_leak(), 0))
     }
+}
+
+/// Why a reduced evaluation returned no solution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Reject {
+    /// The projected system proved the full matrix indefinite.
+    Runaway,
+    /// Uncertified; the full path must answer.
+    Fallback(&'static str),
 }
 
 impl HybridCoolingModel {
@@ -619,6 +758,63 @@ impl HybridCoolingModel {
         ));
         w.push(scatter(n, joule.iter().copied()));
         let residual_r = householder_r(w);
+
+        // Sensitivity rows: leakage over the die cells, Peltier ΔT over
+        // the TEC rows.
+        let (chip_start, _) = self.chip_range();
+        let leak_row: Vec<f64> = cols
+            .iter()
+            .map(|v| {
+                self.cell_leak()
+                    .iter()
+                    .enumerate()
+                    .map(|(cell, lk)| lk.a * v[chip_start + cell])
+                    .sum()
+            })
+            .collect();
+        let tec_row: Vec<f64> = cols
+            .iter()
+            .map(|v| {
+                tec_abs
+                    .iter()
+                    .zip(&tec_rej)
+                    .map(|(&(abs, alpha), &(rej, _))| alpha * (v[rej] - v[abs]))
+                    .sum()
+            })
+            .collect();
+        let joule_r = joule.iter().map(|&(_, rr)| rr).sum();
+
+        // Entrywise magnitude bounds of the three projected blocks.
+        let abs_cols: Vec<Vec<f64>> = cols
+            .iter()
+            .map(|v| v.iter().map(|x| x.abs()).collect())
+            .collect();
+        let mut abs_a = a_steady;
+        for v in abs_a.values_mut() {
+            *v = v.abs();
+        }
+        let mut block_scale = [0.0_f64; 3];
+        for vj in &abs_cols {
+            let a_vj = abs_a.matvec(vj);
+            for vi in &abs_cols {
+                let fan_ij: f64 = fan_nodes
+                    .iter()
+                    .map(|&(node, share)| share.abs() * vi[node] * vj[node])
+                    .sum();
+                let tec_ij: f64 = tec_abs
+                    .iter()
+                    .chain(&tec_rej)
+                    .map(|&(node, alpha)| alpha.abs() * vi[node] * vj[node])
+                    .sum();
+                for (scale, b) in
+                    block_scale
+                        .iter_mut()
+                        .zip([vector::dot(vi, &a_vj), fan_ij, tec_ij])
+                {
+                    *scale = scale.max(b);
+                }
+            }
+        }
         let fan = fan_nodes
             .iter()
             .map(|&(node, share)| FanNode {
@@ -654,6 +850,10 @@ impl HybridCoolingModel {
             c_fan,
             c_joule,
             residual_r,
+            leak_row,
+            tec_row,
+            joule_r,
+            block_scale,
             fan,
             tec,
             options: *options,
@@ -700,7 +900,12 @@ impl<'a> ReducedCoolingModel<'a> {
         if let Some(red) = self.reduced {
             match red.try_solve(self.full, op) {
                 Ok(sol) => return Ok(sol),
-                Err(reason) => {
+                Err(Reject::Runaway) => {
+                    crate::probe::note_runaway();
+                    telemetry::counter_add("reduction.runaway_certified", 1);
+                    return Err(ThermalError::Runaway(NEGATIVE_CURVATURE));
+                }
+                Err(Reject::Fallback(reason)) => {
                     crate::probe::note_fallback();
                     telemetry::counter_add("reduction.fallbacks", 1);
                     telemetry::event(
@@ -801,7 +1006,7 @@ mod tests {
         match sol.field() {
             NodeField::Modal { y, full, .. } => {
                 assert!(full.get().is_none(), "field already expanded");
-                y.clone()
+                y.to_vec()
             }
             NodeField::Full(_) => panic!("expected a reduced solution with a lazy field"),
         }
@@ -1062,8 +1267,9 @@ mod tests {
         let (sol, buf) = telemetry::capture(|| wrapper.solve(op(3300.0, 0.7)).unwrap());
         assert_eq!(buf.counter("reduction.fallbacks"), 1);
         assert_eq!(buf.counter("reduction.solves"), 0);
-        // The fallback ran the real CG path.
+        // The fallback ran the real CG path, which has no sensitivities.
         assert!(sol.solver_iterations() > 0);
+        assert!(sol.sensitivities().is_none());
         let full = m.solve(op(3300.0, 0.7)).unwrap();
         assert_eq!(
             sol.max_chip_temperature().kelvin(),
@@ -1072,17 +1278,62 @@ mod tests {
     }
 
     #[test]
-    fn runaway_points_classify_through_fallback() {
-        let m = model();
-        let red = m.build_reduced(&ReductionOptions::default()).unwrap();
-        let wrapper = ReducedCoolingModel::new(&m, Some(&red));
-        let err = wrapper
-            .solve(OperatingPoint::new(
-                AngularVelocity::ZERO,
-                Current::from_amperes(2.0),
-            ))
-            .unwrap_err();
-        assert!(err.is_runaway(), "expected runaway, got {err}");
+    fn runaway_points_get_the_full_path_verdict_without_a_full_solve() {
+        let (m, red) = built();
+        let wrapper = ReducedCoolingModel::new(m, Some(red));
+        let o = OperatingPoint::new(AngularVelocity::ZERO, Current::from_amperes(2.0));
+        let before = crate::probe::snapshot();
+        telemetry::set_collecting(true);
+        let (reduced, buf) = telemetry::capture(|| wrapper.solve(o));
+        let probe = crate::probe::snapshot().since(&before);
+        assert_eq!(reduced.unwrap_err(), m.solve(o).unwrap_err());
+        assert_eq!(buf.counter("reduction.runaway_certified"), 1);
+        assert_eq!(buf.counter("reduction.fallbacks"), 0);
+        assert_eq!(buf.counter("thermal.solves"), 0, "no full solve ran");
+        assert_eq!((probe.runaway_certified, probe.fallbacks), (1, 0));
+    }
+
+    #[test]
+    fn inconclusive_witness_falls_back() {
+        let (m, red) = built();
+        let o = OperatingPoint::new(AngularVelocity::ZERO, Current::from_amperes(2.0));
+        let fan_g = m.config().fan.conductance(o.fan_speed).w_per_k();
+        let mut fold = red.m0.clone();
+        fold.axpy(fan_g, &red.m_fan);
+        fold.axpy(2.0, &red.m_tec);
+        assert!(red.proves_indefinite(&fold, fan_g, 2.0));
+        // A margin a million times the projection's magnitude proves
+        // nothing: the call must fall back to the full path.
+        let mut blunt = red.clone();
+        blunt.block_scale = red.block_scale.map(|s| s * 1e20);
+        assert!(!blunt.proves_indefinite(&fold, fan_g, 2.0));
+        assert_eq!(
+            blunt.try_solve(m, o).unwrap_err(),
+            Reject::Fallback("projected system not positive definite")
+        );
+        assert!(ReducedCoolingModel::new(m, Some(&blunt))
+            .solve(o)
+            .unwrap_err()
+            .is_runaway());
+    }
+
+    #[test]
+    fn hottest_is_the_first_maximum() {
+        assert_eq!(hottest(&[1.0, 3.0, 2.0, 3.0, 0.0]), 1);
+        assert_eq!(hottest(&[1.0, 2.0, 3.0, 4.0, 5.0, 9.0]), 5);
+        assert_eq!(hottest(&[4.0, 2.0, 3.0, 4.0, 4.0]), 0);
+        assert_eq!(hottest(&[7.0]), 0);
+    }
+
+    #[test]
+    fn only_reduced_solutions_carry_sensitivities() {
+        let (m, red) = built();
+        let o = op(3300.0, 0.7);
+        let sol = ReducedCoolingModel::new(m, Some(red)).solve(o).unwrap();
+        assert!(sol.sensitivities().is_some());
+        assert!(sol.clone().sensitivities().is_some());
+        assert!(sol.poisoned_copy().sensitivities().is_none());
+        assert!(m.solve(o).unwrap().sensitivities().is_none());
     }
 
     #[test]

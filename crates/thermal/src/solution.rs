@@ -44,6 +44,21 @@ impl PowerBreakdown {
     }
 }
 
+/// Exact first derivatives of the paper's two outputs with respect to the
+/// operating point `θ = (ω, I_TEC)`, at the point a reduced solve
+/// answered (see [`ThermalSolution::sensitivities`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sensitivities {
+    /// `∂𝒫/∂ω` (W per rad/s).
+    pub power_d_omega: f64,
+    /// `∂𝒫/∂I_TEC` (W/A).
+    pub power_d_current: f64,
+    /// `∂𝒯/∂ω` (K per rad/s), along the hottest die cell.
+    pub max_temp_d_omega: f64,
+    /// `∂𝒯/∂I_TEC` (K/A), along the hottest die cell.
+    pub max_temp_d_current: f64,
+}
+
 /// The node temperatures of a solution.
 ///
 /// A full solve owns every node. A reduced solve keeps only its die cells
@@ -54,12 +69,18 @@ impl PowerBreakdown {
 pub(crate) enum NodeField {
     /// Every node temperature, in network order.
     Full(Vec<f64>),
-    /// Die cells plus the coordinates to expand the rest from.
+    /// Die cells plus the coordinates to expand the rest from, and the
+    /// reduced model's exact derivatives at this point.
     Modal {
         chip: Vec<f64>,
-        y: Vec<f64>,
+        // `y` as a boxed slice and the sensitivities boxed keep the variant
+        // at its old size: any larger, every solution-carrying enum
+        // (`OftecOutcome`, `BaselineOutcome`) passes clippy's
+        // `large_enum_variant` limit.
+        y: Box<[f64]>,
         basis: Arc<ModalBasis>,
         full: OnceLock<Vec<f64>>,
+        sensitivities: Box<Sensitivities>,
     },
 }
 
@@ -190,6 +211,16 @@ impl ThermalSolution {
     /// The objective 𝒫 (Eq. (10)).
     pub fn objective_power(&self) -> Power {
         self.breakdown.objective()
+    }
+
+    /// Exact `∂𝒫/∂θ` and `∂𝒯/∂θ` at this point, when the solve has them:
+    /// a reduced solve carries them (two extra `k×k` triangular solves on
+    /// its Cholesky factor); full CG solves, and poisoned copies, do not.
+    pub fn sensitivities(&self) -> Option<Sensitivities> {
+        match &self.field {
+            NodeField::Full(_) => None,
+            NodeField::Modal { sensitivities, .. } => Some(**sensitivities),
+        }
     }
 
     /// Conjugate-gradient iterations the solve took (diagnostics).
