@@ -270,5 +270,19 @@ if ./target/release/oftec-fleet run --seed 9000 --shards 1 --per-shard 1 \
 fi
 ./target/release/oftec-fleet repro "$fleetdir/fault"/repro_*.json > /dev/null \
     || { echo "fleet reproducer did not replay"; rm -rf "$fleetdir"; exit 1; }
-echo "fleet fault gate ok: seeded discrepancy caught, minimized and replayed"
+# The same for interior point, poisoned mid-run: the fault counts model
+# solves, and solve 500 lies inside the ~1,100 interior point makes on
+# this scenario, so a later index could leave the fault unfired.
+ipfault=0
+./target/release/oftec-fleet run --seed 9000 --shards 1 --per-shard 1 \
+    --out "$fleetdir/ipfault" --fault 0:0:interior_point:non_finite:500 \
+    > /dev/null 2>&1 || ipfault=$?
+if [ "$ipfault" -ne 3 ]; then
+    echo "fleet gate exited $ipfault, not 3, on a seeded interior-point fault"
+    rm -rf "$fleetdir"
+    exit 1
+fi
+./target/release/oftec-fleet repro "$fleetdir/ipfault"/repro_*.json > /dev/null \
+    || { echo "interior-point reproducer did not replay"; rm -rf "$fleetdir"; exit 1; }
+echo "fleet fault gate ok: seeded SQP and interior-point discrepancies caught, minimized and replayed"
 rm -rf "$fleetdir"

@@ -10,18 +10,19 @@ use oftec_linalg::{vector, Matrix};
 /// inside SQP where the true Lagrangian Hessian can be indefinite
 /// (Nocedal & Wright, Procedure 18.2).
 ///
-/// Steps that are effectively zero are skipped.
+/// Steps that are effectively zero are skipped. Returns whether `b` was
+/// updated: `false` means it is bitwise untouched.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
-pub fn damped_bfgs_update(b: &mut Matrix, s: &[f64], y: &[f64]) {
+pub fn damped_bfgs_update(b: &mut Matrix, s: &[f64], y: &[f64]) -> bool {
     let n = s.len();
     assert_eq!(b.rows(), n, "Hessian dimension mismatch");
     assert_eq!(y.len(), n, "y length mismatch");
     let s_norm = vector::norm2(s);
     if s_norm < 1e-14 {
-        return;
+        return false;
     }
 
     let bs = b.matvec(s);
@@ -40,7 +41,7 @@ pub fn damped_bfgs_update(b: &mut Matrix, s: &[f64], y: &[f64]) {
     }
     let sr = vector::dot(s, &r);
     if sr <= 1e-14 || sbs <= 1e-14 {
-        return; // nothing safe to learn from this step
+        return false; // nothing safe to learn from this step
     }
 
     // B ← B − (B s sᵀ B)/(sᵀBs) + (r rᵀ)/(sᵀr).
@@ -50,6 +51,7 @@ pub fn damped_bfgs_update(b: &mut Matrix, s: &[f64], y: &[f64]) {
             b[(i, j)] += upd;
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -65,7 +67,7 @@ mod tests {
         let mut b = Matrix::identity(2);
         let s = [1.0, 0.5];
         let y = a.matvec(&s);
-        damped_bfgs_update(&mut b, &s, &y);
+        assert!(damped_bfgs_update(&mut b, &s, &y));
         let bs = b.matvec(&s);
         for (bi, yi) in bs.iter().zip(&y) {
             assert!((bi - yi).abs() < 1e-10, "secant equation violated");
@@ -89,7 +91,11 @@ mod tests {
     fn zero_step_is_ignored() {
         let mut b = Matrix::identity(3);
         let before = b.clone();
-        damped_bfgs_update(&mut b, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
+        assert!(!damped_bfgs_update(
+            &mut b,
+            &[0.0, 0.0, 0.0],
+            &[1.0, 1.0, 1.0]
+        ));
         assert_eq!(b, before);
     }
 

@@ -105,9 +105,12 @@ impl InteriorPoint {
         };
 
         // ∇B = ∇f − μ·Σ ∇c_j/c_j − μ·Σ_i (1/(x_i − lo_i) − 1/(hi_i − x_i))·e_i
-        // from exact derivatives; otherwise B itself is differenced.
+        // from exact derivatives; otherwise B itself is differenced. The
+        // flag says which of the two it was.
         let barrier_gradient = |p: &[f64], mu: f64, evals: &mut usize| {
+            let mut from_derivatives = false;
             let exact = |d: Derivatives| {
+                from_derivatives = true;
                 let mut g = d.gradient;
                 for (j, cj) in problem.constraints_or_penalty(p).iter().enumerate() {
                     for (gk, ajk) in g.iter_mut().zip(d.jacobian.row(j)) {
@@ -119,7 +122,7 @@ impl InteriorPoint {
                 }
                 g
             };
-            gradient(
+            let g = gradient(
                 problem,
                 p,
                 &lo,
@@ -128,9 +131,11 @@ impl InteriorPoint {
                 evals,
                 |q| Some(barrier(q, mu)),
                 exact,
-            )
+            );
+            (g, from_derivatives)
         };
 
+        let budget = opts.max_iterations * 10;
         let mut mu = self.mu0;
         let mut total_iters = 0usize;
         let mut converged = false;
@@ -138,8 +143,8 @@ impl InteriorPoint {
             // BFGS on the barrier subproblem.
             let mut b = Matrix::identity(n);
             let mut fx = barrier(&x, mu);
-            let mut g = barrier_gradient(&x, mu, &mut evals);
-            for _ in 0..self.inner_iterations {
+            let mut g = barrier_gradient(&x, mu, &mut evals).0;
+            for k in 0..self.inner_iterations {
                 total_iters += 1;
                 // Newton-like direction d = −B⁻¹ g.
                 let d = match solve_dense_chain(&b, &g) {
@@ -161,16 +166,33 @@ impl InteriorPoint {
                 }
                 let step: Vec<f64> = dir.iter().map(|&v| alpha * v).collect();
                 let x_new: Vec<f64> = x.iter().zip(&step).map(|(a, s)| a + s).collect();
-                let g_new = barrier_gradient(&x_new, mu, &mut evals);
+                let (g_new, exact) = barrier_gradient(&x_new, mu, &mut evals);
                 let y = vector::sub(&g_new, &g);
-                damped_bfgs_update(&mut b, &step, &y);
+                let flat =
+                    !damped_bfgs_update(&mut b, &step, &y) && f_new.to_bits() == fx.to_bits();
+                let repeat = flat && same_bits(&x_new, &x) && same_bits(&g_new, &g);
                 x = x_new;
                 fx = f_new;
                 g = g_new;
                 if vector::norm2(&g) < opts.tolerance.max(mu) {
                     break;
                 }
-                if total_iters >= opts.max_iterations * 10 {
+                if total_iters >= budget {
+                    break;
+                }
+                if repeat {
+                    // The step changed none of x, fx, g and B, so every
+                    // later iteration of this subproblem would repeat this
+                    // one bit for bit: charge them and move on.
+                    total_iters += (self.inner_iterations - 1 - k).min(budget - total_iters);
+                    break;
+                }
+                if flat && exact {
+                    // The barrier value stopped moving and B learnt
+                    // nothing; with exact derivatives the steps left are
+                    // ~1e-13 moves the merit cannot resolve. Differenced
+                    // runs keep going, so their answers stay the full
+                    // loop's bit for bit.
                     break;
                 }
             }
@@ -189,6 +211,11 @@ impl InteriorPoint {
             trace: Vec::new(),
         })
     }
+}
+
+/// `true` when `a` and `b` hold the same bit patterns.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
 #[cfg(test)]
@@ -267,5 +294,45 @@ mod tests {
             .solve(&p, &[3.0, 3.0], &opts())
             .unwrap_err();
         assert!(matches!(err, OptimError::BadStart(_)));
+    }
+
+    #[test]
+    fn stalled_subproblem_ends_without_repeating_itself() {
+        // Deterministic evaluation noise of 1e-9, like an iterative
+        // solver's tolerance: late barrier subproblems reach a point that
+        // every trial step makes worse, until a step too short to move x
+        // is accepted and changes nothing. The bits below are those of a
+        // loop that re-runs every remaining inner iteration from there,
+        // which takes 4,786 evaluations for the same answer.
+        fn noise(x: &[f64]) -> f64 {
+            let mut h = 0x9e37_79b9_7f4a_7c15_u64;
+            for v in x {
+                h = (h ^ v.to_bits()).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                h ^= h >> 31;
+            }
+            (h >> 11) as f64 / (1_u64 << 53) as f64
+        }
+        let p = FnProblem::new(
+            vec![0.0, 0.0],
+            vec![4.0, 4.0],
+            |x| Some((x[0] - 1.0).powi(2) + (x[1] - 2.0).powi(2) + 1e-9 * noise(x)),
+            1,
+            |x| Some(vec![2.0 - x[0] - x[1]]),
+        );
+        let opts = SolveOptions {
+            max_iterations: 60,
+            tolerance: 1e-6,
+        };
+        let r = InteriorPoint::default()
+            .solve(&p, &[0.5, 0.5], &opts)
+            .unwrap();
+        assert_eq!(
+            r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            [0x3fe0_02c0_470b_c0ba, 0x3ff7_fe9e_a0aa_5612]
+        );
+        assert_eq!(r.objective.to_bits(), 0x3fe0_0002_f12b_2fe5);
+        assert_eq!(r.iterations, 153);
+        assert!(r.converged);
+        assert!(r.evaluations <= 900, "{} evaluations", r.evaluations);
     }
 }
