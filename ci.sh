@@ -271,11 +271,12 @@ fi
 ./target/release/oftec-fleet repro "$fleetdir/fault"/repro_*.json > /dev/null \
     || { echo "fleet reproducer did not replay"; rm -rf "$fleetdir"; exit 1; }
 # The same for interior point, poisoned mid-run: the fault counts model
-# solves, and solve 500 lies inside the ~1,100 interior point makes on
-# this scenario, so a later index could leave the fault unfired.
+# solves, and solve 200 lies inside the 434 interior point makes on this
+# scenario with exact gradients; an index past them (500, say) leaves the
+# fault unfired and the run exits 0.
 ipfault=0
 ./target/release/oftec-fleet run --seed 9000 --shards 1 --per-shard 1 \
-    --out "$fleetdir/ipfault" --fault 0:0:interior_point:non_finite:500 \
+    --out "$fleetdir/ipfault" --fault 0:0:interior_point:non_finite:200 \
     > /dev/null 2>&1 || ipfault=$?
 if [ "$ipfault" -ne 3 ]; then
     echo "fleet gate exited $ipfault, not 3, on a seeded interior-point fault"

@@ -235,6 +235,25 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_model_never_hands_the_solvers_a_gradient() {
+        use crate::problems::{CoolingObjective, CoolingProblem};
+        use oftec_optim::NlpProblem;
+        let system = system();
+        let clean = system.tec_model().solve(op()).unwrap();
+        assert!(clean.sensitivities().is_some(), "the full model has them");
+        let faulty = FaultyModel::new(system.tec_model(), FaultKind::NonFinite, 0);
+        assert!(faulty.solve(op()).unwrap().sensitivities().is_none());
+        for objective in [CoolingObjective::Power, CoolingObjective::MaxTemperature] {
+            let problem = CoolingProblem::new(&faulty, objective, system.t_max());
+            for x in [[0.5, 0.5], [0.8, 0.2], [1.0, 0.0]] {
+                assert!(problem.derivatives(&x).is_none(), "gradient at {x:?}");
+            }
+            assert_eq!(problem.exact_gradients(), 0);
+            assert_eq!(problem.fd_gradients(), 3);
+        }
+    }
+
+    #[test]
     fn panic_kind_panics_with_the_call_index() {
         let system = system();
         let faulty = FaultyModel::new(system.tec_model(), FaultKind::Panic, 0);

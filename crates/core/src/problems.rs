@@ -11,21 +11,23 @@
 //! evaluate to `None`, which the solvers treat as prohibitively bad —
 //! the "infinite" region of Figure 6(a)(b).
 //!
-//! A solution that carries exact sensitivities (a reduced solve, see
-//! [`oftec_thermal::ThermalSolution::sensitivities`]) is memoized with
-//! them, and [`NlpProblem::derivatives`] hands them to the solvers,
-//! rescaled to `x`; elsewhere the solvers fall back to central
-//! differences. `problem.gradients.exact` and `problem.gradients.fd`
-//! count which source each gradient came from.
+//! Each memoized evaluation keeps its solution, and
+//! [`NlpProblem::derivatives`] hands the solvers its exact sensitivities
+//! ([`oftec_thermal::ThermalSolution::sensitivities`]: eager on a reduced
+//! solve, solved on first request on a full one), rescaled to `x`, so a
+//! caller that only asks for values (grid search) never pays for them. Where
+//! a point has none — no steady state, a non-finite or poisoned solution —
+//! the solvers fall back to central differences. `problem.gradients.exact`
+//! and `problem.gradients.fd` count which source each gradient came from.
 
 use oftec_linalg::Matrix;
 use oftec_optim::{Derivatives, NlpProblem};
 use oftec_telemetry::Counter;
-use oftec_thermal::{CoolingModel, HybridCoolingModel, OperatingPoint, Sensitivities};
+use oftec_thermal::{CoolingModel, HybridCoolingModel, OperatingPoint, ThermalSolution};
 use oftec_units::{AngularVelocity, Current, Temperature};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which objective is being minimized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +53,15 @@ const CONSTRAINT_SCALE: f64 = 10.0;
 const T_MAX_MARGIN_KELVIN: f64 = 0.1;
 
 /// Memoized evaluation of one operating point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Eval {
     /// Objective 𝒫 in watts; `None` when the point has no steady state.
     power: Option<f64>,
     /// Max chip temperature in Kelvin; `None` on runaway.
     max_temp: Option<f64>,
-    /// Exact `∂𝒫/∂θ` and `∂𝒯/∂θ`, when the solve carried finite ones.
-    sensitivities: Option<Sensitivities>,
+    /// The finite solution behind `power` and `max_temp`, kept for its
+    /// sensitivities.
+    solution: Option<Arc<ThermalSolution>>,
 }
 
 /// Memo cache, behind one mutex so the problem is `Sync` and can be
@@ -219,7 +222,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
                 .iter()
                 .find(|(k, _)| k[0] == key[0] && k[1] == key[1])
             {
-                let e = *e;
+                let e = e.clone();
                 drop(state);
                 self.hits.add(1);
                 return e;
@@ -236,7 +239,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
         let bad = Eval {
             power: None,
             max_temp: None,
-            sensitivities: None,
+            solution: None,
         };
         let eval = match catch_unwind(AssertUnwindSafe(|| self.model.solve(op))) {
             Ok(Ok(sol)) => {
@@ -246,16 +249,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
                     Eval {
                         power: Some(power),
                         max_temp: Some(max_temp),
-                        sensitivities: sol.sensitivities().filter(|s| {
-                            [
-                                s.power_d_omega,
-                                s.power_d_current,
-                                s.max_temp_d_omega,
-                                s.max_temp_d_current,
-                            ]
-                            .iter()
-                            .all(|v| v.is_finite())
-                        }),
+                        solution: Some(Arc::new(sol)),
                     }
                 } else {
                     oftec_telemetry::counter_add("problem.non_finite", 1);
@@ -303,7 +297,7 @@ impl<'a, M: CoolingModel> CoolingProblem<'a, M> {
         if state.entries.len() >= 16 {
             state.entries.pop_front();
         }
-        state.entries.push_back((key, eval));
+        state.entries.push_back((key, eval.clone()));
         eval
     }
 
@@ -384,10 +378,24 @@ impl<M: CoolingModel> NlpProblem for CoolingProblem<'_, M> {
         }
     }
 
-    /// The memoized sensitivities, chained through the scaling
-    /// `ω = ω_max·x₀`, `I = CURRENT_SCALE_AMPS·x₁`.
+    /// The memoized solution's sensitivities, when finite, chained
+    /// through the scaling `ω = ω_max·x₀`, `I = CURRENT_SCALE_AMPS·x₁`.
     fn derivatives(&self, x: &[f64]) -> Option<Derivatives> {
-        let Some(s) = self.evaluate(x).sensitivities else {
+        let exact = self
+            .evaluate(x)
+            .solution
+            .and_then(|sol| sol.sensitivities())
+            .filter(|s| {
+                [
+                    s.power_d_omega,
+                    s.power_d_current,
+                    s.max_temp_d_omega,
+                    s.max_temp_d_current,
+                ]
+                .iter()
+                .all(|v| v.is_finite())
+            });
+        let Some(s) = exact else {
             self.fd_gradients.add(1);
             return None;
         };
@@ -525,13 +533,36 @@ mod tests {
         assert!(fast.exact_gradients() > 0);
         assert_eq!(fast.fd_gradients(), 0);
 
+        // The full model differentiates itself too.
         let full = CoolingProblem::new(s.tec_model(), CoolingObjective::Power, s.t_max());
-        let differenced = sqp.solve(&full, &[0.5, 0.5], &opts).unwrap();
-        assert_eq!(full.exact_gradients(), 0);
-        assert!(full.fd_gradients() > 0);
+        let exact_full = sqp.solve(&full, &[0.5, 0.5], &opts).unwrap();
+        assert!(full.exact_gradients() > 0);
+        assert_eq!(full.fd_gradients(), 0);
 
-        assert!((exact.objective - differenced.objective).abs() < 1e-3 * differenced.objective);
-        assert!(fast.thermal_solves() < full.thermal_solves());
+        assert!((exact.objective - exact_full.objective).abs() < 1e-3 * exact_full.objective);
+    }
+
+    #[test]
+    fn full_sensitivities_are_solved_once_and_only_for_gradients() {
+        oftec_telemetry::set_collecting(true);
+        let s = system();
+        let p = CoolingProblem::new(s.tec_model(), CoolingObjective::Power, s.t_max());
+        let x = [0.6, 0.2];
+        let ((), values) = oftec_telemetry::capture(|| {
+            let _ = p.objective(&x);
+            let _ = p.constraints(&x);
+        });
+        assert_eq!(values.counter("thermal.sensitivities"), 0);
+        let ((), gradients) = oftec_telemetry::capture(|| {
+            let first = p
+                .derivatives(&x)
+                .expect("a steady point has exact derivatives");
+            let again = p.derivatives(&x).expect("memoized");
+            assert_eq!(first.gradient, again.gradient);
+        });
+        assert_eq!(gradients.counter("thermal.sensitivities"), 1);
+        assert_eq!(p.thermal_solves(), 1);
+        assert_eq!(p.exact_gradients(), 2);
     }
 
     #[test]

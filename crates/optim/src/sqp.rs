@@ -133,6 +133,10 @@ impl ActiveSetSqp {
         let mut converged = false;
         let mut iterations = 0;
         let mut restorations = 0usize;
+        // An accepted step too small to change `x` would make every later
+        // iteration an exact repeat of this one; the next iteration then
+        // treats the iterate as stationary instead.
+        let mut stalled = false;
 
         if stop(&x, f) {
             return Ok(SolveResult {
@@ -234,11 +238,12 @@ impl ActiveSetSqp {
             };
             let (d, lambda) = qp;
 
-            if vector::norm_inf(&d) < opts.tolerance {
-                // Stationary in the QP model. If still (slightly)
-                // infeasible — possible after elastic relaxation — take a
-                // Newton feasibility-restoration step along the most
-                // violated constraint's gradient and keep iterating.
+            if stalled || vector::norm_inf(&d) < opts.tolerance {
+                // Stationary in the QP model, or stuck. If still
+                // infeasible — possible after elastic relaxation, whose
+                // steps only ask for no worsening — take a Newton
+                // feasibility-restoration step along the most violated
+                // constraint's gradient and keep iterating.
                 let worst = c
                     .iter()
                     .enumerate()
@@ -247,11 +252,12 @@ impl ActiveSetSqp {
                     .map(|(j, _)| j);
                 match worst {
                     None => {
-                        converged = true;
+                        converged = !stalled || vector::norm_inf(&d) < opts.tolerance.sqrt();
                         break;
                     }
                     Some(j) if restorations < 25 => {
                         restorations += 1;
+                        stalled = false;
                         let a: Vec<f64> = (0..n).map(|k| jac[(j, k)]).collect();
                         let aa = vector::dot(&a, &a);
                         if aa <= 1e-16 {
@@ -330,10 +336,15 @@ impl ActiveSetSqp {
             }
 
             let step: Vec<f64> = d.iter().map(|&di| alpha * di).collect();
+            let x_prev = x.clone();
             for (xi, si) in x.iter_mut().zip(&step) {
                 *xi += si;
             }
             problem.project(&mut x);
+            stalled = x
+                .iter()
+                .zip(&x_prev)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
             f = problem.objective_or_penalty(&x);
             c = problem.constraints_or_penalty(&x);
             evals += 2;

@@ -4,18 +4,20 @@
 use crate::assembly::{build_network, Network};
 use crate::config::{CoolingConfig, PackageConfig};
 use crate::error::ThermalError;
+use crate::fan::FanModel;
 use crate::skeleton::AssemblySkeleton;
-use crate::solution::{NodeField, PowerBreakdown, ThermalSolution};
+use crate::solution::{hottest, NodeField, PowerBreakdown, Sensitivities, ThermalSolution};
 use crate::stack::LayerRole;
 use oftec_floorplan::{Floorplan, GridMap};
 use oftec_linalg::{
-    solve_cg, CsrMatrix, Ilu0Preconditioner, IterativeParams, JacobiPreconditioner, Preconditioner,
+    solve_cg, CsrMatrix, Ilu0Preconditioner, IterativeParams, IterativeSummary,
+    JacobiPreconditioner, Preconditioner,
 };
 use oftec_power::{fit_linear_leakage_over, ExponentialLeakage, LeakageModel};
 use oftec_tec::{TecDeployment, TecDeviceParams};
 use oftec_telemetry as telemetry;
 use oftec_units::{AngularVelocity, Current, Power, Temperature};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One point of OFTEC's two-variable design space.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -78,7 +80,10 @@ pub struct HybridCoolingModel {
     tec: Option<TecFolding>,
     /// Pre-assembled CSR pattern + base values; every solve folds its
     /// operating point into a scratch copy instead of re-sorting triplets.
-    skeleton: AssemblySkeleton,
+    skeleton: Arc<AssemblySkeleton>,
+    /// What a default-path solution needs to differentiate itself; shared
+    /// with every such solution.
+    tangent: Arc<TangentTerms>,
 }
 
 /// TEC sub-layer folding data.
@@ -262,6 +267,13 @@ impl HybridCoolingModel {
             .map(|(cell, lk)| (chip_start + cell, dyn_cells[cell] + lk.b - lk.a * lk.t_ref))
             .collect();
         skeleton.fold_steady(&diag_add, &rhs_add);
+        let skeleton = Arc::new(skeleton);
+        let tangent = Arc::new(TangentTerms::new(
+            config.fan,
+            Arc::clone(&skeleton),
+            &diag_add,
+            tec.as_ref(),
+        ));
 
         Ok(Self {
             network,
@@ -279,6 +291,7 @@ impl HybridCoolingModel {
             cell_leak_exp,
             tec,
             skeleton,
+            tangent,
         })
     }
 
@@ -628,7 +641,13 @@ impl HybridCoolingModel {
         let (mut matrix, mut rhs) = self.skeleton.assemble_steady(fan_g);
         self.fold_tec_in_place(matrix.values_mut(), &mut rhs, op.tec_current.amperes());
         let diag = self.skeleton.diagonal_of(&matrix);
-        self.finish_steady_solve(op, &matrix, &rhs, &diag, &self.cell_leak, warm_start, true)
+        let summary = self.finish_steady_solve(&matrix, &rhs, &diag, warm_start, true)?;
+        let tangent = Tangent {
+            terms: Arc::clone(&self.tangent),
+            op,
+            sensitivities: OnceLock::new(),
+        };
+        Ok(self.package_full(op, summary, Some(Arc::new(tangent)), &self.cell_leak))
     }
 
     /// The TEC folding bookkeeping, if this model has TECs.
@@ -660,7 +679,8 @@ impl HybridCoolingModel {
         self.fold_tec_into(&mut triplets, &mut rhs, op.tec_current.amperes());
         let matrix = triplets.to_csr();
         let diag = matrix.diagonal();
-        self.finish_steady_solve(op, &matrix, &rhs, &diag, leak, None, false)
+        let summary = self.finish_steady_solve(&matrix, &rhs, &diag, None, false)?;
+        Ok(self.package_full(op, summary, None, leak))
     }
 
     /// Core linearized solve: folds the operating point and the given
@@ -698,11 +718,12 @@ impl HybridCoolingModel {
         self.fold_tec_in_place(matrix.values_mut(), &mut rhs, i_tec);
 
         let diag = self.skeleton.diagonal_of(&matrix);
-        self.finish_steady_solve(op, &matrix, &rhs, &diag, leak, warm_start, true)
+        let summary = self.finish_steady_solve(&matrix, &rhs, &diag, warm_start, true)?;
+        Ok(self.package_full(op, summary, None, leak))
     }
 
     /// Shared back half of the steady solves: runaway screen,
-    /// preconditioned CG, physical classification, solution packaging.
+    /// preconditioned CG and physical classification.
     ///
     /// `use_ilu` selects the preconditioner: the cached path factors the
     /// folded matrix with ILU(0) — for this SPD, diagonally dominant
@@ -711,21 +732,14 @@ impl HybridCoolingModel {
     /// falls back to Jacobi if the factorization breaks down (a TEC fold
     /// can weaken diagonal dominance to a zero pivot). The reference path
     /// keeps plain Jacobi: it is the defined pre-skeleton baseline.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one steady solve threads every per-call input through"
-    )]
     fn finish_steady_solve(
         &self,
-        op: OperatingPoint,
         matrix: &CsrMatrix,
         rhs: &[f64],
         diag: &[f64],
-        leak: &[CellLeak],
         warm_start: Option<&[f64]>,
         use_ilu: bool,
-    ) -> Result<ThermalSolution, ThermalError> {
-        let n = self.network.n_nodes;
+    ) -> Result<IterativeSummary, ThermalError> {
         let _span = telemetry::span("thermal.solve");
         telemetry::counter_add("thermal.solves", 1);
 
@@ -743,36 +757,8 @@ impl HybridCoolingModel {
         } else {
             Box::new(JacobiPreconditioner::from_diagonal(diag).map_err(ThermalError::from)?)
         };
-        let params = IterativeParams {
-            rtol: 1e-10,
-            atol: 1e-12,
-            max_iter: 20 * n,
-        };
-        let summary = match solve_cg(matrix, rhs, warm_start, precond.as_ref(), &params) {
-            Ok(summary) => summary,
-            Err(oftec_linalg::LinalgError::NotConverged { iterations, .. }) if use_ilu => {
-                // Degradation chain, second rung: a stalled ILU(0)-CG run
-                // (near-breakdown pivots can produce a weak factorization)
-                // is retried cold with the plain Jacobi preconditioner
-                // before giving up — same surfacing discipline as the
-                // preconditioner fallback above.
-                telemetry::counter_add("thermal.cg_retry", 1);
-                telemetry::event(
-                    telemetry::Severity::Warn,
-                    "thermal.cg_retry",
-                    &[
-                        ("from", telemetry::Field::Str("ilu0")),
-                        ("to", telemetry::Field::Str("jacobi")),
-                        ("iterations", telemetry::Field::U64(iterations as u64)),
-                    ],
-                );
-                let jacobi =
-                    JacobiPreconditioner::from_diagonal(diag).map_err(ThermalError::from)?;
-                solve_cg(matrix, rhs, None, &jacobi, &params).map_err(ThermalError::from)?
-            }
-            Err(e) => return Err(ThermalError::from(e)),
-        };
-        let temps = summary.x;
+        let summary = solve_folded(matrix, rhs, warm_start, precond.as_ref(), use_ilu)?;
+        let temps = &summary.x;
 
         // Physical classification.
         let cap = self.config.runaway_cap.kelvin();
@@ -789,17 +775,31 @@ impl HybridCoolingModel {
                 "unphysically cold solution",
             )));
         }
+        Ok(summary)
+    }
 
-        Ok(self.package_solution(op, NodeField::Full(temps), leak, summary.iterations))
+    /// Packages a full solve's field, with its hottest die cell.
+    fn package_full(
+        &self,
+        op: OperatingPoint,
+        summary: IterativeSummary,
+        tangent: Option<Arc<Tangent>>,
+        leak: &[CellLeak],
+    ) -> ThermalSolution {
+        let temps = summary.x;
+        let hot = hottest(&temps[self.chip_start..self.chip_start + self.chip_cells]);
+        let field = NodeField::Full { temps, tangent };
+        self.package_solution(op, field, hot, leak, summary.iterations)
     }
 
     /// Builds the public solution object: power accounting + reductions.
     /// Reads only the die cells and the TEC absorption/rejection rows of
-    /// `field`.
+    /// `field`; `hot` is its first hottest die cell.
     pub(crate) fn package_solution(
         &self,
         op: OperatingPoint,
         field: NodeField,
+        hot: usize,
         leak: &[CellLeak],
         iterations: usize,
     ) -> ThermalSolution {
@@ -839,6 +839,7 @@ impl HybridCoolingModel {
             field,
             self.chip_start,
             self.chip_cells,
+            hot,
             Arc::clone(&self.gridmap),
             breakdown,
             iterations,
@@ -877,6 +878,176 @@ pub(crate) fn folded_preconditioner(
                 JacobiPreconditioner::from_diagonal(diag).map_err(ThermalError::from)?,
             ))
         }
+    }
+}
+
+/// CG on a folded network matrix (`rtol` 1e-10, `atol` 1e-12, at most
+/// `20·n` iterations) with `precond`. With `retry`, a stalled run — a
+/// near-breakdown ILU(0) pivot can produce a weak factorization — is
+/// retried cold with plain Jacobi before giving up: the degradation
+/// chain's second rung.
+fn solve_folded(
+    matrix: &CsrMatrix,
+    rhs: &[f64],
+    warm_start: Option<&[f64]>,
+    precond: &dyn Preconditioner,
+    retry: bool,
+) -> Result<IterativeSummary, ThermalError> {
+    let params = IterativeParams {
+        rtol: 1e-10,
+        atol: 1e-12,
+        max_iter: 20 * matrix.rows(),
+    };
+    match solve_cg(matrix, rhs, warm_start, precond, &params) {
+        Ok(summary) => Ok(summary),
+        Err(oftec_linalg::LinalgError::NotConverged { iterations, .. }) if retry => {
+            telemetry::counter_add("thermal.cg_retry", 1);
+            telemetry::event(
+                telemetry::Severity::Warn,
+                "thermal.cg_retry",
+                &[
+                    ("from", telemetry::Field::Str("ilu0")),
+                    ("to", telemetry::Field::Str("jacobi")),
+                    ("iterations", telemetry::Field::U64(iterations as u64)),
+                ],
+            );
+            let jacobi = JacobiPreconditioner::new(matrix).map_err(ThermalError::from)?;
+            solve_cg(matrix, rhs, None, &jacobi, &params).map_err(ThermalError::from)
+        }
+        Err(e) => Err(ThermalError::from(e)),
+    }
+}
+
+/// A TEC-covered die cell's nodes and module aggregates.
+#[derive(Debug, Clone, Copy)]
+struct PeltierCell {
+    abs: usize,
+    gen: usize,
+    rej: usize,
+    alpha: f64,
+    r: f64,
+}
+
+/// What the full model's tangent equations need beyond the operating
+/// point, built once per model and shared with its default-path
+/// solutions.
+#[derive(Debug)]
+pub(crate) struct TangentTerms {
+    /// The model's assembly skeleton, to rebuild `A(θ)`.
+    skeleton: Arc<AssemblySkeleton>,
+    fan: FanModel,
+    /// Die cells' leakage slopes `(node, a)`: `∂P_leak/∂T`.
+    leak: Vec<(usize, f64)>,
+    /// TEC-covered cells: `D_tec`, `f_joule` and the Peltier power rows.
+    tec: Vec<PeltierCell>,
+    /// `ΣR` over covered cells (Ω).
+    joule_r: f64,
+}
+
+impl TangentTerms {
+    /// `leak_diag` holds `(chip node, −a)`, as folded into the skeleton.
+    fn new(
+        fan: FanModel,
+        skeleton: Arc<AssemblySkeleton>,
+        leak_diag: &[(usize, f64)],
+        tec: Option<&TecFolding>,
+    ) -> Self {
+        let tec: Vec<PeltierCell> = tec
+            .map(|t| {
+                (0..t.alpha_cell.len())
+                    .filter(|&cell| t.alpha_cell[cell] != 0.0)
+                    .map(|cell| PeltierCell {
+                        abs: t.abs_start + cell,
+                        gen: t.gen_start + cell,
+                        rej: t.rej_start + cell,
+                        alpha: t.alpha_cell[cell],
+                        r: t.r_cell[cell],
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        Self {
+            skeleton,
+            fan,
+            leak: leak_diag.iter().map(|&(node, d)| (node, -d)).collect(),
+            joule_r: tec.iter().map(|c| c.r).sum(),
+            tec,
+        }
+    }
+
+    /// `Σ_c α_c·(x_rej − x_abs)` over the covered cells.
+    fn peltier(&self, x: &[f64]) -> f64 {
+        self.tec
+            .iter()
+            .map(|c| c.alpha * (x[c.rej] - x[c.abs]))
+            .sum()
+    }
+}
+
+/// A default-path full solve's operating point, kept to differentiate
+/// the solution on demand. Differentiating `A(θ)·T = b(θ)` gives
+/// `A(θ)·∂T/∂ω = g′(ω)(f_fan − D_fan·T)` and
+/// `A(θ)·∂T/∂I = 2I·f_joule − D_tec·T`: two CG solves on `A(θ)`, rebuilt
+/// from the skeleton with the primal's folds, preconditioner and CG
+/// chain, so the solution holds no per-solve matrix meanwhile.
+#[derive(Debug)]
+pub(crate) struct Tangent {
+    terms: Arc<TangentTerms>,
+    op: OperatingPoint,
+    sensitivities: OnceLock<Option<Sensitivities>>,
+}
+
+impl Tangent {
+    /// `∂𝒫/∂θ` and `∂𝒯/∂θ` at the solved field `temps` (hottest die node
+    /// `hot`), solved on the first call and kept.
+    pub(crate) fn sensitivities(&self, temps: &[f64], hot: usize) -> Option<Sensitivities> {
+        *self
+            .sensitivities
+            .get_or_init(|| self.solve(temps, hot).ok())
+    }
+
+    fn solve(&self, temps: &[f64], hot: usize) -> Result<Sensitivities, ThermalError> {
+        let _span = telemetry::span("thermal.sensitivities");
+        telemetry::counter_add("thermal.sensitivities", 1);
+        let t = &*self.terms;
+        let sk = &*t.skeleton;
+        let (omega, i) = (self.op.fan_speed, self.op.tec_current.amperes());
+
+        // A(θ), folded as the primal solve folded it.
+        let (mut matrix, _) = sk.assemble_steady(t.fan.conductance(omega).w_per_k());
+        if i != 0.0 {
+            let values = matrix.values_mut();
+            for c in &t.tec {
+                values[sk.diag_index(c.abs)] += c.alpha * i;
+                values[sk.diag_index(c.rej)] += -c.alpha * i;
+            }
+        }
+        let precond = folded_preconditioner(&matrix, &sk.diagonal_of(&matrix))?;
+
+        let g_slope = t.fan.conductance_slope(omega);
+        let mut rhs_omega = vec![0.0; temps.len()];
+        for &(node, share) in sk.fan_couplings() {
+            rhs_omega[node] += g_slope * share * (sk.ambient() - temps[node]);
+        }
+        let mut rhs_current = vec![0.0; temps.len()];
+        for c in &t.tec {
+            rhs_current[c.gen] += 2.0 * i * c.r;
+            rhs_current[c.abs] -= c.alpha * temps[c.abs];
+            rhs_current[c.rej] += c.alpha * temps[c.rej];
+        }
+        let d_omega = solve_folded(&matrix, &rhs_omega, None, precond.as_ref(), true)?.x;
+        let d_current = solve_folded(&matrix, &rhs_current, None, precond.as_ref(), true)?.x;
+
+        let leak = |dt: &[f64]| -> f64 { t.leak.iter().map(|&(node, a)| a * dt[node]).sum() };
+        Ok(Sensitivities {
+            power_d_omega: leak(&d_omega) + i * t.peltier(&d_omega) + t.fan.power_slope(omega),
+            power_d_current: leak(&d_current)
+                + t.peltier(temps)
+                + i * t.peltier(&d_current)
+                + 2.0 * i * t.joule_r,
+            max_temp_d_omega: d_omega[hot],
+            max_temp_d_current: d_current[hot],
+        })
     }
 }
 

@@ -76,7 +76,7 @@
 
 use crate::error::{ThermalError, NEGATIVE_CURVATURE};
 use crate::model::{HybridCoolingModel, OperatingPoint};
-use crate::solution::{NodeField, Sensitivities, ThermalSolution};
+use crate::solution::{hottest, NodeField, Sensitivities, ThermalSolution};
 use crate::traits::CoolingModel;
 use crate::transient::{TransientOptions, TransientTrace};
 use oftec_linalg::{sym_eigen, vector, CholeskyFactor, EigenParams, Matrix};
@@ -200,26 +200,6 @@ impl ModalBasis {
         let margin = 4.0 * (self.modes.len() + 1) as f64 * f64::EPSILON * mag;
         (lo - margin, hi + margin)
     }
-}
-
-/// Index of the first maximum of `temps` (finite). Four running maxima
-/// break the compare chain, then one scan finds the first match.
-fn hottest(temps: &[f64]) -> usize {
-    let mut lanes = [f64::NEG_INFINITY; 4];
-    let quads = temps.chunks_exact(4);
-    let tail = quads.remainder();
-    for quad in quads {
-        for (lane, &t) in lanes.iter_mut().zip(quad) {
-            if t > *lane {
-                *lane = t;
-            }
-        }
-    }
-    let max = lanes
-        .iter()
-        .chain(tail)
-        .fold(f64::NEG_INFINITY, |m, &t| if t > m { t } else { m });
-    temps.iter().position(|&t| t >= max).unwrap_or(0)
 }
 
 /// The full path's physical screens, node by node, in its order.
@@ -414,14 +394,14 @@ impl ReducedModel {
     }
 
     /// `∂𝒫/∂θ` and `∂𝒯/∂θ` at the accepted point `y` (see the module
-    /// doc); `chip` holds the die cells rebuilt from `y`.
+    /// doc); `hot` is the hottest die node rebuilt from `y`.
     fn sensitivities(
         &self,
         model: &HybridCoolingModel,
         op: OperatingPoint,
         chol: &CholeskyFactor,
         y: &[f64],
-        chip: &[f64],
+        hot: usize,
     ) -> Result<Sensitivities, &'static str> {
         let fan = &model.config().fan;
         let i_tec = op.tec_current.amperes();
@@ -436,8 +416,6 @@ impl ReducedModel {
         chol.solve_pair_in_place(dy_omega, dy_current)
             .map_err(|_| "projected solve failed")?;
 
-        let (start, _) = model.chip_range();
-        let hot = start + hottest(chip);
         let leak_omega = vector::dot(&self.leak_row, dy_omega);
         let leak_current = vector::dot(&self.leak_row, dy_current);
         let tec_omega = i_tec * vector::dot(&self.tec_row, dy_omega);
@@ -518,13 +496,14 @@ impl ReducedModel {
 
         let (start, cells) = model.chip_range();
         let chip = self.basis.rows(start, cells, &y);
+        let hot = hottest(&chip);
         let sensitivities = self
-            .sensitivities(model, op, &chol, &y, &chip)
+            .sensitivities(model, op, &chol, &y, start + hot)
             .map_err(Reject::Fallback)?;
         crate::probe::note_reduced(r_norm / b_norm.max(f64::MIN_POSITIVE));
         telemetry::counter_add("reduction.solves", 1);
         let field = NodeField::Modal {
-            chip,
+            chip: chip.into_boxed_slice(),
             y: y.into_boxed_slice(),
             basis: Arc::clone(&self.basis),
             full: OnceLock::new(),
@@ -532,7 +511,7 @@ impl ReducedModel {
         };
         // The reduced path performs no Krylov iterations; 0 is its
         // distinctive iteration count.
-        Ok(model.package_solution(op, field, model.cell_leak(), 0))
+        Ok(model.package_solution(op, field, hot, model.cell_leak(), 0))
     }
 }
 
@@ -1008,7 +987,7 @@ mod tests {
                 assert!(full.get().is_none(), "field already expanded");
                 y.to_vec()
             }
-            NodeField::Full(_) => panic!("expected a reduced solution with a lazy field"),
+            NodeField::Full { .. } => panic!("expected a reduced solution with a lazy field"),
         }
     }
 
@@ -1111,7 +1090,13 @@ mod tests {
                 vector::dot(&row, &y)
             })
             .collect();
-        let eager_sol = m.package_solution(o, NodeField::Full(eager.clone()), m.cell_leak(), 0);
+        let (start, cells) = m.chip_range();
+        let hot = hottest(&eager[start..start + cells]);
+        let field = NodeField::Full {
+            temps: eager.clone(),
+            tangent: None,
+        };
+        let eager_sol = m.package_solution(o, field, hot, m.cell_leak(), 0);
 
         let copy = sol.clone();
         assert_eq!(bits(sol.node_temperatures()), bits(&eager));
@@ -1267,9 +1252,8 @@ mod tests {
         let (sol, buf) = telemetry::capture(|| wrapper.solve(op(3300.0, 0.7)).unwrap());
         assert_eq!(buf.counter("reduction.fallbacks"), 1);
         assert_eq!(buf.counter("reduction.solves"), 0);
-        // The fallback ran the real CG path, which has no sensitivities.
+        // The fallback ran the real CG path.
         assert!(sol.solver_iterations() > 0);
-        assert!(sol.sensitivities().is_none());
         let full = m.solve(op(3300.0, 0.7)).unwrap();
         assert_eq!(
             sol.max_chip_temperature().kelvin(),
@@ -1318,22 +1302,60 @@ mod tests {
     }
 
     #[test]
-    fn hottest_is_the_first_maximum() {
-        assert_eq!(hottest(&[1.0, 3.0, 2.0, 3.0, 0.0]), 1);
-        assert_eq!(hottest(&[1.0, 2.0, 3.0, 4.0, 5.0, 9.0]), 5);
-        assert_eq!(hottest(&[4.0, 2.0, 3.0, 4.0, 4.0]), 0);
-        assert_eq!(hottest(&[7.0]), 0);
-    }
-
-    #[test]
-    fn only_reduced_solutions_carry_sensitivities() {
+    fn both_paths_carry_sensitivities_and_poisoned_copies_do_not() {
         let (m, red) = built();
         let o = op(3300.0, 0.7);
-        let sol = ReducedCoolingModel::new(m, Some(red)).solve(o).unwrap();
-        assert!(sol.sensitivities().is_some());
-        assert!(sol.clone().sensitivities().is_some());
-        assert!(sol.poisoned_copy().sensitivities().is_none());
-        assert!(m.solve(o).unwrap().sensitivities().is_none());
+        let reduced = ReducedCoolingModel::new(m, Some(red)).solve(o).unwrap();
+        let full = m.solve(o).unwrap();
+        for sol in [&reduced, &full] {
+            assert!(sol.sensitivities().is_some());
+            assert!(sol.clone().sensitivities().is_some());
+            assert!(sol.poisoned_copy().sensitivities().is_none());
+        }
+        // The two paths differentiate the same model.
+        let (r, f) = (
+            reduced.sensitivities().unwrap(),
+            full.sensitivities().unwrap(),
+        );
+        for (a, b) in [
+            (r.power_d_omega, f.power_d_omega),
+            (r.power_d_current, f.power_d_current),
+            (r.max_temp_d_omega, f.max_temp_d_omega),
+            (r.max_temp_d_current, f.max_temp_d_current),
+        ] {
+            assert!(
+                (a - b).abs() <= 1e-2 * b.abs() + 1e-6,
+                "reduced {a} vs full {b}"
+            );
+        }
+    }
+
+    /// `max_chip_temperature` reads the cell recorded at packaging; it must
+    /// give the bits of a NaN-propagating scan over the die on both paths.
+    #[test]
+    fn recorded_hottest_cell_matches_a_full_scan() {
+        let (m, red) = built();
+        let wrapper = ReducedCoolingModel::new(m, Some(red));
+        let scan = |chip: &[f64]| {
+            chip.iter().fold(f64::NEG_INFINITY, |acc, &t| {
+                if t.is_nan() {
+                    f64::NAN
+                } else {
+                    acc.max(t)
+                }
+            })
+        };
+        let mut compared = 0;
+        for (rpm_v, amps_v) in [(4500.0, 0.0), (3000.0, 1.0), (2400.0, 2.0), (1200.0, 0.3)] {
+            let o = op(rpm_v, amps_v);
+            for sol in [m.solve(o), wrapper.solve(o)].into_iter().flatten() {
+                let max = sol.max_chip_temperature().kelvin();
+                assert_eq!(max.to_bits(), scan(sol.chip_temperatures()).to_bits());
+                assert!(sol.poisoned_copy().max_chip_temperature().kelvin().is_nan());
+                compared += 1;
+            }
+        }
+        assert!(compared >= 6, "only {compared} solutions compared");
     }
 
     #[test]

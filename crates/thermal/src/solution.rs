@@ -1,5 +1,6 @@
 //! Solved steady states and their power accounting.
 
+use crate::model::Tangent;
 use crate::reduction::ModalBasis;
 use oftec_floorplan::GridMap;
 use oftec_units::{Power, Temperature};
@@ -45,8 +46,8 @@ impl PowerBreakdown {
 }
 
 /// Exact first derivatives of the paper's two outputs with respect to the
-/// operating point `θ = (ω, I_TEC)`, at the point a reduced solve
-/// answered (see [`ThermalSolution::sensitivities`]).
+/// operating point `θ = (ω, I_TEC)`, at the point a solve answered (see
+/// [`ThermalSolution::sensitivities`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensitivities {
     /// `∂𝒫/∂ω` (W per rad/s).
@@ -67,16 +68,20 @@ pub struct Sensitivities {
 /// sums an eager rebuild uses, so both forms give the same bits.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeField {
-    /// Every node temperature, in network order.
-    Full(Vec<f64>),
+    /// Every node temperature, in network order, and — for a solve of the
+    /// default path — what it needs to differentiate itself on demand.
+    Full {
+        temps: Vec<f64>,
+        tangent: Option<Arc<Tangent>>,
+    },
     /// Die cells plus the coordinates to expand the rest from, and the
     /// reduced model's exact derivatives at this point.
     Modal {
-        chip: Vec<f64>,
-        // `y` as a boxed slice and the sensitivities boxed keep the variant
-        // at its old size: any larger, every solution-carrying enum
-        // (`OftecOutcome`, `BaselineOutcome`) passes clippy's
+        // `chip` and `y` as boxed slices and the sensitivities boxed keep
+        // the solution at its old size: any larger, every solution-carrying
+        // enum (`OftecOutcome`, `BaselineOutcome`) passes clippy's
         // `large_enum_variant` limit.
+        chip: Box<[f64]>,
         y: Box<[f64]>,
         basis: Arc<ModalBasis>,
         full: OnceLock<Vec<f64>>,
@@ -88,7 +93,7 @@ impl NodeField {
     /// The die cells, which occupy nodes `start..start + cells`.
     pub(crate) fn chip(&self, start: usize, cells: usize) -> &[f64] {
         match self {
-            NodeField::Full(temps) => &temps[start..start + cells],
+            NodeField::Full { temps, .. } => &temps[start..start + cells],
             NodeField::Modal { chip, .. } => chip,
         }
     }
@@ -96,17 +101,37 @@ impl NodeField {
     /// Nodes `start..start + len` (rebuilt from the basis when modal).
     pub(crate) fn rows(&self, start: usize, len: usize) -> Cow<'_, [f64]> {
         match self {
-            NodeField::Full(temps) => Cow::Borrowed(&temps[start..start + len]),
+            NodeField::Full { temps, .. } => Cow::Borrowed(&temps[start..start + len]),
             NodeField::Modal { y, basis, .. } => Cow::Owned(basis.rows(start, len, y)),
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            NodeField::Full(temps) => temps.len(),
+            NodeField::Full { temps, .. } => temps.len(),
             NodeField::Modal { basis, .. } => basis.nodes(),
         }
     }
+}
+
+/// Index of the first maximum of `temps` (finite). Four running maxima
+/// break the compare chain, then one scan finds the first match.
+pub(crate) fn hottest(temps: &[f64]) -> usize {
+    let mut lanes = [f64::NEG_INFINITY; 4];
+    let quads = temps.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (lane, &t) in lanes.iter_mut().zip(quad) {
+            if t > *lane {
+                *lane = t;
+            }
+        }
+    }
+    let max = lanes
+        .iter()
+        .chain(tail)
+        .fold(f64::NEG_INFINITY, |m, &t| if t > m { t } else { m });
+    temps.iter().position(|&t| t >= max).unwrap_or(0)
 }
 
 /// A converged steady-state thermal solution.
@@ -115,6 +140,9 @@ pub struct ThermalSolution {
     field: NodeField,
     chip_start: usize,
     chip_cells: usize,
+    /// The first hottest die cell, found once when the solution was
+    /// packaged.
+    hot: usize,
     gridmap: Arc<GridMap>,
     /// Per-unit maxima, reduced from the die cells on first use.
     unit_max: OnceLock<Vec<f64>>,
@@ -123,10 +151,12 @@ pub struct ThermalSolution {
 }
 
 impl ThermalSolution {
+    /// `hot` is the die cell [`hottest`] picks from `field`'s die cells.
     pub(crate) fn new(
         field: NodeField,
         chip_start: usize,
         chip_cells: usize,
+        hot: usize,
         gridmap: Arc<GridMap>,
         breakdown: PowerBreakdown,
         solver_iterations: usize,
@@ -135,6 +165,7 @@ impl ThermalSolution {
             field,
             chip_start,
             chip_cells,
+            hot,
             gridmap,
             unit_max: OnceLock::new(),
             breakdown,
@@ -152,7 +183,7 @@ impl ThermalSolution {
     /// solution builds this vector on the first call.
     pub fn node_temperatures(&self) -> &[f64] {
         match &self.field {
-            NodeField::Full(temps) => temps,
+            NodeField::Full { temps, .. } => temps,
             NodeField::Modal { y, basis, full, .. } => full.get_or_init(|| basis.expand(y)),
         }
     }
@@ -164,21 +195,12 @@ impl ThermalSolution {
 
     /// The paper's 𝒯: the maximum chip-cell temperature (Eq. (19)).
     ///
-    /// A NaN cell temperature propagates into the result instead of being
-    /// silently dropped (as `f64::max` would), so downstream non-finite
-    /// guards see poisoned solutions.
+    /// Reads the hottest cell recorded when the solution was packaged
+    /// (both solve paths screen out non-finite fields first). A poisoned
+    /// copy's cells are all NaN, so its 𝒯 is NaN too and downstream
+    /// non-finite guards see it.
     pub fn max_chip_temperature(&self) -> Temperature {
-        let max = self
-            .chip_temperatures()
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, &t| {
-                if t.is_nan() {
-                    f64::NAN
-                } else {
-                    m.max(t)
-                }
-            });
-        Temperature::from_kelvin(max)
+        Temperature::from_kelvin(self.chip_temperatures()[self.hot])
     }
 
     /// Minimum chip-cell temperature (can sit below ambient when TECs pump
@@ -213,12 +235,20 @@ impl ThermalSolution {
         self.breakdown.objective()
     }
 
-    /// Exact `∂𝒫/∂θ` and `∂𝒯/∂θ` at this point, when the solve has them:
-    /// a reduced solve carries them (two extra `k×k` triangular solves on
-    /// its Cholesky factor); full CG solves, and poisoned copies, do not.
+    /// Exact `∂𝒫/∂θ` and `∂𝒯/∂θ` at this point, when the solve has them.
+    ///
+    /// A reduced solve carries them (two extra `k×k` triangular solves on
+    /// its Cholesky factor). A full solve of the default path computes
+    /// them on the first call — its folded matrix and preconditioner
+    /// rebuilt, then two CG solves — and keeps them; `None` if that fails.
+    /// Poisoned copies, and full solves of other leakage lines, have none.
     pub fn sensitivities(&self) -> Option<Sensitivities> {
         match &self.field {
-            NodeField::Full(_) => None,
+            NodeField::Full {
+                temps,
+                tangent: Some(tangent),
+            } => tangent.sensitivities(temps, self.chip_start + self.hot),
+            NodeField::Full { tangent: None, .. } => None,
             NodeField::Modal { sensitivities, .. } => Some(**sensitivities),
         }
     }
@@ -243,9 +273,13 @@ impl ThermalSolution {
     pub fn poisoned_copy(&self) -> Self {
         let nan_power = Power::from_watts(f64::NAN);
         Self {
-            field: NodeField::Full(vec![f64::NAN; self.field.len()]),
+            field: NodeField::Full {
+                temps: vec![f64::NAN; self.field.len()],
+                tangent: None,
+            },
             chip_start: self.chip_start,
             chip_cells: self.chip_cells,
+            hot: self.hot,
             gridmap: Arc::clone(&self.gridmap),
             unit_max: OnceLock::from(vec![f64::NAN; self.unit_max_temperatures().len()]),
             breakdown: PowerBreakdown {
@@ -267,10 +301,16 @@ mod tests {
         let plan =
             oftec_floorplan::parse_flp("toy", "a 2e-3 1e-3 0 0\nb 1e-3 1e-3 2e-3 0\n").unwrap();
         let gridmap = GridMap::new(&plan, oftec_floorplan::GridDims::new(1, 3));
+        let temps = vec![300.0, 350.0, 370.0, 320.0, 310.0];
+        let hot = hottest(&temps[1..4]);
         ThermalSolution::new(
-            NodeField::Full(vec![300.0, 350.0, 370.0, 320.0, 310.0]),
+            NodeField::Full {
+                temps,
+                tangent: None,
+            },
             1,
             3,
+            hot,
             Arc::new(gridmap),
             PowerBreakdown {
                 leakage: Power::from_watts(8.0),
@@ -308,6 +348,23 @@ mod tests {
         assert_eq!(s.chip_temperatures(), &[350.0, 370.0, 320.0]);
         assert_eq!(s.max_chip_temperature().kelvin(), 370.0);
         assert_eq!(s.min_chip_temperature().kelvin(), 320.0);
+    }
+
+    #[test]
+    fn hottest_is_the_first_maximum() {
+        assert_eq!(hottest(&[1.0, 3.0, 2.0, 3.0, 0.0]), 1);
+        assert_eq!(hottest(&[1.0, 2.0, 3.0, 4.0, 5.0, 9.0]), 5);
+        assert_eq!(hottest(&[4.0, 2.0, 3.0, 4.0, 4.0]), 0);
+        assert_eq!(hottest(&[7.0]), 0);
+    }
+
+    #[test]
+    fn poisoned_copy_reports_nan_extrema() {
+        let p = solution().poisoned_copy();
+        assert!(p.max_chip_temperature().kelvin().is_nan());
+        assert!(p.min_chip_temperature().kelvin().is_nan());
+        assert!(!p.meets_thermal_constraint(Temperature::from_kelvin(1e9)));
+        assert!(p.sensitivities().is_none());
     }
 
     #[test]
